@@ -126,12 +126,6 @@ class AdrcbfChain:
     phi: tuple
     gamma: tuple
 
-    def beta_u(self, x) -> tuple:
-        """Control coefficient row of the top-level derivative at x."""
-        xs = as_state(x, self.system.n)
-        _, grad = self.psi[-1]._jet(xs)
-        return _row_times_matrix(grad, self.system.g(xs), self.system.n, self.system.p)
-
     def evaluate(self, x) -> ChainEvaluation:
         """Fused per-state pass; see DrcbfChain.evaluate.
 

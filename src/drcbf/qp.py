@@ -14,6 +14,15 @@ minimizer, the multipliers of active set S solve the |S| x |S| system
 (A_S Q^-1 A_S') lam = A_S z0 - b_S and then z = z0 - Q^-1 A_S' lam. Q is
 validated and factored once per distinct value, since a controller hands
 the solver the same quadratic at every step.
+
+The enumeration runs as generated code, one kernel per problem shape
+(number of rows, dimension), built on the first solve of that shape and
+cached, as CVXGEN does for its solvers (Mattingley and Boyd, Optim. Eng.
+13, 2012). A kernel holds every scalar in a local and spells out each
+active set's LDL' factor, multipliers and checks, with no loop over
+subsets or rows. It performs the same float operations in the same order
+as the generic loop it replaces (kept as reference_solve_qp in the test
+oracles), so its solutions are bit-identical to that loop's.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
 
 __all__ = ["QpValidationError", "QpProblem", "QpSolution", "solve_qp"]
 
@@ -63,7 +71,7 @@ class QpProblem:
     def __post_init__(self):
         object.__setattr__(self, "Q", _as_matrix(self.Q, "Q"))
         object.__setattr__(self, "c", _as_vector(self.c, "c"))
-        object.__setattr__(self, "A", _as_matrix(self.A, "A") if self.A else ())
+        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
         object.__setattr__(self, "b", _as_vector(self.b, "b"))
         dim = len(self.c)
         if len(self.Q) != dim or (self.Q and len(self.Q[0]) != dim):
@@ -132,96 +140,189 @@ def _inverse_cholesky_factor(Q):
     return tuple(tuple(row[: i + 1]) for i, row in enumerate(R))
 
 
-@lru_cache(maxsize=16)
-def _active_sets(n_con, dim):
-    """(S, rows outside S) for every active set S that solve_qp tries, in
-    its fixed enumeration order."""
-    return tuple(
-        (subset, tuple(i for i in range(n_con) if i not in subset))
-        for size in range(min(dim, n_con) + 1)
-        for subset in combinations(range(n_con), size)
-    )
+def _sum(terms):
+    """Source for sum(terms) as the generic solver computed it: the builtin
+    sum, from int 0. Up to two terms it is spelled out, as 0.0 + t0 + t1
+    rounds exactly like sum on every Python version; longer sums stay calls,
+    because sum adds compensated since Python 3.12."""
+    if not terms:
+        return "0"
+    if len(terms) > 2:
+        return f"sum(({', '.join(terms)},))"
+    return "(0.0 + " + " + ".join(terms) + ")"
 
 
-def _ldl(gram, subset):
-    """LDL' factor of gram[S, S]: (L as rows of its strictly lower part, the
-    pivots d). None when the rows of A_S are linearly dependent: a pivot is
-    then zero up to rounding, relative to its diagonal entry."""
-    L = []
-    d = []
-    for i, si in enumerate(subset):
-        gi = gram[si]
-        row = []
-        pivot = gi[si]
-        for j in range(i):
-            s = gi[subset[j]]
-            Lj = L[j]
-            for k in range(j):
-                s -= row[k] * Lj[k] * d[k]
-            row.append(s / d[j])
-            pivot -= row[j] * s
-        if pivot <= RANK_TOL * gi[si]:
-            return None
-        L.append(row)
-        d.append(pivot)
-    return L, d
+def _dot(u, v):
+    return _sum([f"{a} * {b}" for a, b in zip(u, v)])
 
 
-def _ldl_solve(factor, rhs):
-    """Solve LDL' x = rhs for a factor from _ldl."""
-    L, d = factor
-    x = list(rhs)
-    for i in range(1, len(d)):
-        for k, lik in enumerate(L[i]):
-            x[i] -= lik * x[k]
-    for i in range(len(d) - 1, -1, -1):
-        x[i] /= d[i]
-        for k in range(i + 1, len(d)):
-            x[i] -= L[k][i] * x[k]
-    return x
+def _chain(first, op, terms):
+    """first op t0 op t1 ...: an in-place accumulation, one term at a time."""
+    return f" {op} ".join([first, *terms])
 
 
-def _lower_times(R, w):
-    """R w for R lower triangular, stored as rows of growing length."""
-    return [sum(map(mul, row, w)) for row in R]
-
-
-def _candidate(problem, R, y, v, subset, lam, factor):
-    """The solution of active set S from its multipliers, or None when it
-    fails the feasibility check on z itself.
-
-    In the coordinates of R, w = y + sum lam_s v_s and z = -R'w, and the
-    active rows read v_s . w = -b_s. The multiplier terms of w cancel down to
-    the size of Qz, which costs digits when Q is badly scaled; one refinement
-    step with the same factor restores v_s . w = -b_s to rounding.
+def _ldl_lines(subset, g):
+    """LDL' factor of gram[S, S] for active set S, as (lines, m, d): the
+    locals m[i][j] = L_ij and d[i] hold the factor.
+    Every pivot is checked right after it is formed, and a pivot below
+    RANK_TOL times its diagonal entry (rows of A_S dependent to rounding)
+    skips S before anything divides by it.
     """
-    b = problem.b
-    w = list(y)
-    for s, l in zip(subset, lam):
-        for j, vsj in enumerate(v[s]):
-            w[j] += l * vsj
-    if subset:
-        delta = _ldl_solve(factor, [-sum(map(mul, v[s], w)) - b[s] for s in subset])
-        for i, (s, dl) in enumerate(zip(subset, delta)):
-            lam[i] += dl
-            for j, vsj in enumerate(v[s]):
-                w[j] += dl * vsj
-    z = [0.0] * len(w)
-    for row, wi in zip(R, w):
-        for j, rij in enumerate(row):
-            z[j] -= rij * wi
-    if any(sum(map(mul, a, z)) > bi + FEASIBILITY_TOL for a, bi in zip(problem.A, b)):
-        return None
-    multipliers = [0.0] * len(b)
-    for s, l in zip(subset, lam):
-        multipliers[s] = l
-    return QpSolution(
-        z=tuple(z),
-        active_set=subset,
-        objective=problem.objective(z),
-        status="optimal",
-        multipliers=tuple(multipliers),
-    )
+    lines = []
+    m, d = [], []
+    for i, si in enumerate(subset):
+        row = [f"m{i}_{j}" for j in range(i)]
+        sums = []
+        for j in range(i):
+            s = g(si, subset[j])
+            if j:
+                terms = [f"{row[k]} * {m[j][k]} * {d[k]}" for k in range(j)]
+                lines.append(f"s{j} = " + _chain(s, "-", terms))
+                s = f"s{j}"
+            lines.append(f"{row[j]} = {s} / {d[j]}")
+            sums.append(s)
+        pivot = g(si, si)
+        if i:
+            terms = [f"{row[j]} * {sums[j]}" for j in range(i)]
+            lines.append(f"d{i} = " + _chain(pivot, "-", terms))
+            pivot = f"d{i}"
+        lines.append(f"if {pivot} <= {RANK_TOL!r} * {g(si, si)}: break")
+        m.append(row)
+        d.append(pivot)
+    return lines, m, d
+
+
+def _ldl_solve_lines(m, d, rhs, out):
+    """Solve LDL' x = rhs into the locals out[i]: forward over L, then
+    x_i / d_i minus the later x_k, in the order of the generic solve."""
+    lines = []
+    forward = []
+    for i, r in enumerate(rhs):
+        if i:
+            terms = [f"{m[i][k]} * {forward[k]}" for k in range(i)]
+            lines.append(f"f{i} = " + _chain(r, "-", terms))
+            r = f"f{i}"
+        forward.append(r)
+    for i in reversed(range(len(d))):
+        later = [f"{m[k][i]} * {out[k]}" for k in range(i + 1, len(d))]
+        lines.append(f"{out[i]} = " + _chain(f"{forward[i]} / {d[i]}", "-", later))
+    return lines
+
+
+@lru_cache(maxsize=32)
+def _kernel(n_con, dim):
+    """solve_qp for problems of one shape, as one generated function.
+
+    kernel(R, Q, c, A, b) unpacks its data into locals and repeats the
+    generic active-set enumeration's float operations in their order: the
+    coordinates y, v_i, the Gram matrix and gap; then, for every active set
+    in combinations order, the LDL' pivots with their rank check, the
+    multipliers and their sign check, the screening of the other rows, the
+    refinement step, z = -R'w, the feasibility check of every row on z and
+    the objective in QpProblem.objective's order. Each active set is a
+    `while True` block that a failed check leaves by `break`. The tolerances
+    are baked in as literals.
+    """
+    rows, cols = range(n_con), range(dim)
+    R = [[f"r{i}_{j}" for j in range(i + 1)] for i in cols]
+    Q = [[f"q{i}_{j}" for j in cols] for i in cols]
+    c = [f"c{j}" for j in cols]
+    A = [[f"a{i}_{j}" for j in cols] for i in rows]
+    b = [f"b{i}" for i in rows]
+    y = [f"y{j}" for j in cols]
+    v = [[f"v{i}_{j}" for j in cols] for i in rows]
+    e = [f"e{i}" for i in rows]
+
+    def g(i, j):
+        return f"g{min(i, j)}_{max(i, j)}"
+
+    def items(names):
+        return "".join(f"{name}, " for name in names)
+
+    def tup(names):
+        return f"({items(names)})"
+
+    def unpack(names, data):
+        return f"{items(names)}= {data}"
+
+    body = []
+    if dim:
+        body += [
+            unpack(map(tup, R), "R"),
+            unpack(map(tup, Q), "Q"),
+            unpack(c, "c"),
+        ]
+        if n_con:
+            body.append(unpack(map(tup, A), "A"))
+    if n_con:
+        body.append(unpack(b, "b"))
+    # In the coordinates of R: y = R c and v_i = R a_i, so z0 = -R'y,
+    # (A Q^-1 A')_ij = v_i . v_j and gap_i = (A z0 - b)_i = -v_i . y - b_i.
+    body += [f"{y[k]} = {_dot(R[k], c)}" for k in cols]
+    body += [f"{v[i][k]} = {_dot(R[k], A[i])}" for i in rows for k in cols]
+    body += [f"{g(i, j)} = {_dot(v[i], v[j])}" for i in rows for j in rows[i:]]
+    body += [f"{e[i]} = -{_dot(v[i], y)} - {b[i]}" for i in rows]
+
+    for size in range(min(dim, n_con) + 1):
+        for subset in combinations(rows, size):
+            lam = [f"l{t}" for t in range(size)]
+            block = []
+            if subset:
+                lines, m, d = _ldl_lines(subset, g)
+                block += lines
+                block += _ldl_solve_lines(m, d, [e[s] for s in subset], lam)
+                # min(lam) < -MULTIPLIER_TOL, with min's left-to-right scan.
+                if size > 1:
+                    block.append(f"lo = {lam[0]}")
+                    block += [f"if {l} < lo: lo = {l}" for l in lam[1:]]
+                lowest = "lo" if size > 1 else lam[0]
+                block.append(f"if {lowest} < {-MULTIPLIER_TOL!r}: break")
+            # At the candidate of S, A z - b = gap - (A Q^-1 A_S') lam: the
+            # rows outside S are screened with it before z is formed.
+            for i in rows:
+                if i not in subset:
+                    terms = [f"{g(i, s)} * {l}" for s, l in zip(subset, lam)]
+                    block.append(f"if {_chain(e[i], '-', terms)} > {FEASIBILITY_TOL!r}: break")
+            # w = y + sum lam_s v_s, and z = -R'w. The multiplier terms of w
+            # cancel down to the size of Qz, which costs digits when Q is
+            # badly scaled; one refinement step with the same factor restores
+            # v_s . w = -b_s to rounding.
+            w = y
+            if subset:
+                w = [f"w{j}" for j in cols]
+                for j in cols:
+                    terms = [f"{l} * {v[s][j]}" for s, l in zip(subset, lam)]
+                    block.append(f"{w[j]} = " + _chain(y[j], "+", terms))
+                delta = [f"k{t}" for t in range(size)]
+                rhs = [f"h{t}" for t in range(size)]
+                block += [f"{rhs[t]} = -{_dot(v[s], w)} - {b[s]}" for t, s in enumerate(subset)]
+                block += _ldl_solve_lines(m, d, rhs, delta)
+                block += [f"{l} = {l} + {k}" for l, k in zip(lam, delta)]
+                for j in cols:
+                    terms = [f"{k} * {v[s][j]}" for s, k in zip(subset, delta)]
+                    block.append(f"{w[j]} = " + _chain(w[j], "+", terms))
+            z = [f"z{j}" for j in cols]
+            for j in cols:
+                terms = [f"{R[i][j]} * {w[i]}" for i in range(j, dim)]
+                block.append(f"{z[j]} = " + _chain("0.0", "-", terms))
+            block += [
+                f"if {_dot(A[i], z)} > {b[i]} + {FEASIBILITY_TOL!r}: break" for i in rows
+            ]
+            terms = [f"{z[i]} * {Q[i][j]} * {z[j]}" for i in cols for j in cols]
+            quad = _chain("0.0", "+", terms)
+            multipliers = ["0.0"] * n_con
+            for s, l in zip(subset, lam):
+                multipliers[s] = l
+            block.append(
+                f"return QpSolution({tup(z)}, {subset!r}, 0.5 * ({quad}) + {_dot(c, z)},"
+                f" 'optimal', {tup(multipliers)})"
+            )
+            body += ["while True:", *(f"    {line}" for line in block)]
+    body.append("return QpSolution((), (), inf, 'infeasible', ())")
+    source = "def kernel(R, Q, c, A, b):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"QpSolution": QpSolution, "inf": math.inf}
+    exec(source, namespace)
+    return namespace["kernel"]
 
 
 def solve_qp(problem: QpProblem) -> QpSolution:
@@ -236,38 +337,5 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     "infeasible" when no candidate survives.
     """
     R = _inverse_cholesky_factor(problem.Q)
-    c, A, b = problem.c, problem.A, problem.b
-    n_con = len(A)
-    # In the coordinates of R: y = R c and v_i = R a_i, so z0 = -R'y,
-    # (A Q^-1 A')_ij = v_i . v_j and gap_i = (A z0 - b)_i = -v_i . y - b_i.
-    # At the candidate of active set S, A z - b = gap - (A Q^-1 A_S') lam,
-    # which vanishes on S: the rows outside S are screened with it before
-    # z is formed, and _candidate checks every row on z itself.
-    y = _lower_times(R, c)
-    v = [_lower_times(R, a) for a in A]
-    gram = [[sum(map(mul, vi, vj)) for vj in v] for vi in v]
-    gap = [-sum(map(mul, vi, y)) - bi for vi, bi in zip(v, b)]
-    for subset, others in _active_sets(n_con, len(c)):
-        lam = []
-        factor = None
-        if subset:
-            factor = _ldl(gram, subset)
-            if factor is None:
-                continue
-            lam = _ldl_solve(factor, [gap[s] for s in subset])
-            if min(lam) < -MULTIPLIER_TOL:
-                continue
-        for i in others:
-            gi = gram[i]
-            value = gap[i]
-            for s, l in zip(subset, lam):
-                value -= gi[s] * l
-            if value > FEASIBILITY_TOL:
-                break
-        else:
-            solution = _candidate(problem, R, y, v, subset, lam, factor)
-            if solution is not None:
-                return solution
-    return QpSolution(
-        z=(), active_set=(), objective=math.inf, status="infeasible", multipliers=()
-    )
+    b = problem.b
+    return _kernel(len(b), len(problem.c))(R, problem.Q, problem.c, problem.A, b)

@@ -176,12 +176,6 @@ class DrcbfChain:
     w_m: SmoothScalarField
     phi: tuple
 
-    def beta_u(self, x) -> tuple:
-        """Control coefficient row of the top-level derivative at x."""
-        xs = as_state(x, self.system.n)
-        _, grad = self.tilde_b[-1]._jet(xs)
-        return _row_times_matrix(grad, self.system.g(xs), self.system.n, self.system.p)
-
     def evaluate(self, x) -> ChainEvaluation:
         """One fused pass: level values, top drift, control row, phi values.
 

@@ -256,11 +256,11 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
         log.clf_residuals.append(result.clf_residual)
         log.qp_statuses.append(result.qp_status)
         log.guard_event_counts.append(len(result.guard_events))
+        guard_total += len(result.guard_events)
         if result.qp_status != "optimal":
             log.failed = True
             log.failure_reason = f"solver returned {result.qp_status} at t={t}"
             break
-        guard_total += len(result.guard_events)
 
         try:
             for _ in range(substeps):

@@ -5,14 +5,30 @@ library code it checks: finite differences instead of forward-mode jets,
 dense grid refinement instead of active-set enumeration, direct polynomial
 expansion instead of iterated convolution, and a steady-state equation
 solved by bisection instead of a closed-loop simulation.
+
+The one exception is reference_solve_qp: the QP solver's enumeration in its
+generic form (loops over every active set, an LDL' helper per subset). The
+library generates one straight-line kernel per problem shape, and each must
+return exactly what this loop returns, bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
+from itertools import combinations
+from operator import mul
 
 import numpy as np
+
+from drcbf.qp import (
+    FEASIBILITY_TOL,
+    MULTIPLIER_TOL,
+    RANK_TOL,
+    QpSolution,
+    _inverse_cholesky_factor,
+)
 
 
 def fd_gradient(func, x, rel_step: float = 1e-5):
@@ -323,3 +339,144 @@ def rate_crossover(params, gains, target_gap, low=1e-3, high=1e6):
         else:
             lo = mid
     return math.exp(0.5 * (lo + hi))
+
+
+@lru_cache(maxsize=16)
+def _active_sets(n_con, dim):
+    """(S, rows outside S) for every active set S that solve_qp tries, in
+    its fixed enumeration order."""
+    return tuple(
+        (subset, tuple(i for i in range(n_con) if i not in subset))
+        for size in range(min(dim, n_con) + 1)
+        for subset in combinations(range(n_con), size)
+    )
+
+
+def _ldl(gram, subset):
+    """LDL' factor of gram[S, S]: (L as rows of its strictly lower part, the
+    pivots d). None when the rows of A_S are linearly dependent: a pivot is
+    then zero up to rounding, relative to its diagonal entry."""
+    L = []
+    d = []
+    for i, si in enumerate(subset):
+        gi = gram[si]
+        row = []
+        pivot = gi[si]
+        for j in range(i):
+            s = gi[subset[j]]
+            Lj = L[j]
+            for k in range(j):
+                s -= row[k] * Lj[k] * d[k]
+            row.append(s / d[j])
+            pivot -= row[j] * s
+        if pivot <= RANK_TOL * gi[si]:
+            return None
+        L.append(row)
+        d.append(pivot)
+    return L, d
+
+
+def _ldl_solve(factor, rhs):
+    """Solve LDL' x = rhs for a factor from _ldl."""
+    L, d = factor
+    x = list(rhs)
+    for i in range(1, len(d)):
+        for k, lik in enumerate(L[i]):
+            x[i] -= lik * x[k]
+    for i in range(len(d) - 1, -1, -1):
+        x[i] /= d[i]
+        for k in range(i + 1, len(d)):
+            x[i] -= L[k][i] * x[k]
+    return x
+
+
+def _lower_times(R, w):
+    """R w for R lower triangular, stored as rows of growing length."""
+    return [sum(map(mul, row, w)) for row in R]
+
+
+def _candidate(problem, R, y, v, subset, lam, factor):
+    """The solution of active set S from its multipliers, or None when it
+    fails the feasibility check on z itself.
+
+    In the coordinates of R, w = y + sum lam_s v_s and z = -R'w, and the
+    active rows read v_s . w = -b_s. The multiplier terms of w cancel down to
+    the size of Qz, which costs digits when Q is badly scaled; one refinement
+    step with the same factor restores v_s . w = -b_s to rounding.
+    """
+    b = problem.b
+    w = list(y)
+    for s, l in zip(subset, lam):
+        for j, vsj in enumerate(v[s]):
+            w[j] += l * vsj
+    if subset:
+        delta = _ldl_solve(factor, [-sum(map(mul, v[s], w)) - b[s] for s in subset])
+        for i, (s, dl) in enumerate(zip(subset, delta)):
+            lam[i] += dl
+            for j, vsj in enumerate(v[s]):
+                w[j] += dl * vsj
+    z = [0.0] * len(w)
+    for row, wi in zip(R, w):
+        for j, rij in enumerate(row):
+            z[j] -= rij * wi
+    if any(sum(map(mul, a, z)) > bi + FEASIBILITY_TOL for a, bi in zip(problem.A, b)):
+        return None
+    multipliers = [0.0] * len(b)
+    for s, l in zip(subset, lam):
+        multipliers[s] = l
+    return QpSolution(
+        z=tuple(z),
+        active_set=subset,
+        objective=problem.objective(z),
+        status="optimal",
+        multipliers=tuple(multipliers),
+    )
+
+
+def reference_solve_qp(problem):
+    """Enumerate active sets in a fixed order and return the first KKT point.
+
+    A candidate must satisfy primal feasibility to 1e-9 and have multipliers
+    >= -1e-9 on its active set. With Q positive definite such a candidate is
+    the unique global minimizer (the KKT conditions are sufficient), so the
+    scan stops there; the enumeration order is fixed, which keeps the reported
+    active-set certificate deterministic even in degenerate geometries.
+    Active sets with linearly dependent rows are skipped. Status is
+    "infeasible" when no candidate survives.
+    """
+    R = _inverse_cholesky_factor(problem.Q)
+    c, A, b = problem.c, problem.A, problem.b
+    n_con = len(A)
+    # In the coordinates of R: y = R c and v_i = R a_i, so z0 = -R'y,
+    # (A Q^-1 A')_ij = v_i . v_j and gap_i = (A z0 - b)_i = -v_i . y - b_i.
+    # At the candidate of active set S, A z - b = gap - (A Q^-1 A_S') lam,
+    # which vanishes on S: the rows outside S are screened with it before
+    # z is formed, and _candidate checks every row on z itself.
+    y = _lower_times(R, c)
+    v = [_lower_times(R, a) for a in A]
+    gram = [[sum(map(mul, vi, vj)) for vj in v] for vi in v]
+    gap = [-sum(map(mul, vi, y)) - bi for vi, bi in zip(v, b)]
+    for subset, others in _active_sets(n_con, len(c)):
+        lam = []
+        factor = None
+        if subset:
+            factor = _ldl(gram, subset)
+            if factor is None:
+                continue
+            lam = _ldl_solve(factor, [gap[s] for s in subset])
+            if min(lam) < -MULTIPLIER_TOL:
+                continue
+        for i in others:
+            gi = gram[i]
+            value = gap[i]
+            for s, l in zip(subset, lam):
+                value -= gi[s] * l
+            if value > FEASIBILITY_TOL:
+                break
+        else:
+            solution = _candidate(problem, R, y, v, subset, lam, factor)
+            if solution is not None:
+                return solution
+    return QpSolution(
+        z=(), active_set=(), objective=math.inf, status="infeasible", multipliers=()
+    )

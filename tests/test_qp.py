@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from drcbf import controller
+from drcbf.acc import build_study
 from drcbf.qp import QpProblem, QpSolution, QpValidationError, solve_qp
+from drcbf.simulate import run_simulation
 
 from oracles import (
     brute_force_active_set,
     grid_refine_qp,
     qp_objective,
     random_feasible_qp,
+    reference_solve_qp,
 )
 
 
@@ -41,6 +45,13 @@ class TestValidation:
     def test_rejects_offset_count_mismatch(self):
         with pytest.raises(QpValidationError):
             solve([[2.0]], [0.0], [[1.0]], [1.0, 2.0])
+
+    def test_accepts_numpy_data(self):
+        problem = QpProblem(Q=np.eye(2), c=np.zeros(2), A=np.ones((2, 2)), b=np.ones(2))
+        assert problem.A == ((1.0, 1.0), (1.0, 1.0))
+        assert problem.b == (1.0, 1.0)
+        assert solve_qp(problem).active_set == ()
+        assert QpProblem(Q=np.eye(2), c=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0)).A == ()
 
 
 class TestKnownSolutions:
@@ -131,6 +142,121 @@ class TestFactorReuse:
             solve(self.GOOD_Q, self.C, self.A, (self.B[0], bad))
         with pytest.raises(QpValidationError):
             solve(self.GOOD_Q, (bad, 0.0), self.A, self.B)
+
+
+def assert_same_as_reference(problem):
+    # == on the whole solution, and repr to tell -0.0 from 0.0.
+    got, expected = solve_qp(problem), reference_solve_qp(problem)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    return got
+
+
+# The controller's quadratic over (u, slack) in the ACC study: 4/m^2 on the
+# thrust (m = 1650 kg), twice the slack weight on the slack. Its two scales
+# differ by six decades.
+CONTROLLER_Q = ((4.0 / 1650.0**2, 0.0), (0.0, 4.0))
+
+
+class TestGeneratedKernel:
+    """solve_qp runs one generated kernel per (rows, dim) shape; each must
+    return exactly what the generic enumeration returns."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_con", [0, 1, 2, 3, 4])
+    def test_random_problems_of_every_shape(self, n_con, dim):
+        rng = np.random.default_rng(1000 * n_con + dim)
+        statuses = set()
+        for _ in range(300):
+            M = rng.normal(size=(dim, dim))
+            Q = M @ M.T + 0.1 * np.eye(dim)
+            A = rng.normal(size=(n_con, dim))
+            problem = QpProblem(Q=Q, c=3.0 * rng.normal(size=dim), A=A, b=rng.normal(size=n_con))
+            statuses.add(assert_same_as_reference(problem).status)
+        assert "optimal" in statuses
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dependent_rows_are_skipped_alike(self, dim):
+        # Repeated, zero and scaled-duplicate rows make the LDL' pivot of
+        # some active sets vanish to rounding (the RANK_TOL skip).
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            M = rng.normal(size=(dim, dim))
+            Q = M @ M.T + 0.1 * np.eye(dim)
+            row = rng.normal(size=dim)
+            other = rng.normal(size=dim)
+            scale = rng.choice([1.0, 3.0, -2.0, 1e-8])
+            A = np.array([row, scale * row, np.zeros(dim), other, row])
+            b = rng.normal(size=5)
+            problem = QpProblem(Q=Q, c=3.0 * rng.normal(size=dim), A=A, b=b)
+            active = set(assert_same_as_reference(problem).active_set)
+            # Rows 0, 1 and 4 are parallel and row 2 is zero: no certificate
+            # holds two of the former or the latter.
+            assert 2 not in active and len(active & {0, 1, 4}) <= 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_infeasible_pairs(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        for _ in range(100):
+            row = rng.normal(size=dim)
+            margin = rng.uniform(0.1, 2.0)
+            offset = rng.normal()
+            A = np.array([row, -row, rng.normal(size=dim)])
+            b = np.array([offset, -offset - margin, 5.0])
+            problem = QpProblem(Q=np.eye(dim), c=rng.normal(size=dim), A=A, b=b)
+            assert assert_same_as_reference(problem).status == "infeasible"
+
+    def test_controller_scaled_quadratic(self):
+        # The controller's rows: the slacked stability row, then the safety
+        # row, which acts on the thrust alone.
+        rng = np.random.default_rng(5)
+        active = set()
+        for _ in range(2000):
+            stability = (rng.uniform(-1e-2, 1e-2), -1.0)
+            safety = (rng.uniform(1e-4, 0.05), 0.0)
+            b = (rng.uniform(-5.0, 5.0), rng.uniform(-40.0, 400.0))
+            c = (-rng.uniform(0.0, 1e-3), 0.0)
+            problem = QpProblem(Q=CONTROLLER_Q, c=c, A=(stability, safety), b=b)
+            active.add(assert_same_as_reference(problem).active_set)
+        assert {(), (0,), (1,), (0, 1)} <= active
+
+    @pytest.mark.parametrize("mode", ["drcbf", "adrcbf"])
+    def test_every_qp_of_a_study_run(self, mode, monkeypatch):
+        # 7 s of case 3 pass through the sets (0,), () and, once settled
+        # (from ~5.9 s), the binding (0, 1) with its refinement step.
+        active = set()
+
+        def checked(problem):
+            active.add(assert_same_as_reference(problem).active_set)
+            return solve_qp(problem)
+
+        monkeypatch.setattr(controller, "solve_qp", checked)
+        log = run_simulation(build_study(mode, case=3, horizon=7.0, verify=False))
+        assert not log.failed
+        assert active == {(), (0,), (0, 1)}
+
+    def test_nearly_parallel_rows_above_the_rank_tolerance(self):
+        # The rows differ by 1e-6 in angle: the relative LDL' pivot of the
+        # pair is ~1e-12, above RANK_TOL, so the pair is the certificate.
+        # The minimizer z = (1, 5) has multipliers (1e4, 1e4): either row
+        # alone leaves the other violated by ~1e-8, past the tolerance.
+        eps = 1e-6
+        problem = QpProblem(
+            Q=((1.0, 0.0), (0.0, 1.0)),
+            c=(-20001.0, -5.01),
+            A=((1.0, 0.0), (1.0, eps)),
+            b=(1.0, 1.0 + 5.0 * eps),
+        )
+        solution = assert_same_as_reference(problem)
+        assert solution.active_set == (0, 1)
+        assert solution.multipliers == pytest.approx((1e4, 1e4), rel=1e-6)
+
+    def test_signed_zeros(self):
+        # Signed zeros in the data come out as the reference's, sign included.
+        problem = QpProblem(Q=((2.0, 0.0), (0.0, 2.0)), c=(-0.0, 0.0), A=((-0.0, 1.0),), b=(0.0,))
+        assert_same_as_reference(problem)
+        problem = QpProblem(Q=((2.0,),), c=(-0.0,), A=((1.0,), (-1.0,)), b=(-0.0, 0.0))
+        assert_same_as_reference(problem)
 
 
 class TestAgainstOracles:

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+from drcbf import simulate
 from drcbf.controller import ClfSpec, ControllerSpec
-from drcbf.fields import ControlAffineSystem, field_from_callable
+from drcbf.fields import ControlAffineSystem, GuardEvent, field_from_callable
 from drcbf.poles import coefficients_from_poles
 from drcbf.robust import build_hocbf_chain
 from drcbf.simulate import (
@@ -228,6 +229,29 @@ class TestRunSimulation:
         assert log.final_time < 5.0
         summary = summarize_log(log, PARAMS)
         assert summary["failed"]
+
+    def test_guard_events_of_an_aborted_step_are_counted_once(self, monkeypatch):
+        # The step that stops the run still appears in the log, so its guard
+        # events belong in the run's total as well as in the summary's.
+        config = build_study("adrcbf", case=1, horizon=0.05, verify=False)
+        real_step = simulate.control_step
+
+        def clamped_and_infeasible(controller, x, t):
+            result = real_step(controller, x, t)
+            if t < 0.002:
+                return result
+            return dataclasses.replace(
+                result, qp_status="infeasible", guard_events=(GuardEvent(1e-13, 1e-12),)
+            )
+
+        monkeypatch.setattr(simulate, "control_step", clamped_and_infeasible)
+        log = run_simulation(config)
+        assert log.failed
+        assert "infeasible" in log.failure_reason
+        assert len(log) == 3
+        assert log.guard_event_counts[-1] == 1
+        assert log.metadata["guard_event_total"] == sum(log.guard_event_counts) >= 1
+        assert summarize_log(log, PARAMS)["guard_event_total"] == log.metadata["guard_event_total"]
 
     def test_substep_refinement_preserves_grid(self):
         config = build_study(

@@ -579,7 +579,13 @@ def _value_slug(value) -> str:
 
 
 def _sweep_worker(doc: dict, out_dir: str) -> tuple:
-    return execute_document(doc, out_dir=out_dir)
+    """One member's (exit code, summary, rejection message or None): a
+    rejected config ends that member only, with EXIT_CONFIG."""
+    try:
+        code, summary = execute_document(doc, out_dir=out_dir)
+    except ConfigError as exc:
+        return EXIT_CONFIG, {}, str(exc)
+    return code, summary, None
 
 
 def cmd_sweep(args) -> int:
@@ -638,7 +644,7 @@ def cmd_sweep(args) -> int:
                 "steady_state_distance",
             ]
         )
-        for value, (code, summary) in zip(values, results):
+        for value, (code, summary, _) in zip(values, results):
             writer.writerow(
                 [
                     args.param,
@@ -653,8 +659,10 @@ def cmd_sweep(args) -> int:
                 ]
             )
 
-    worst = max(code for code, _ in results)
-    for value, (code, summary) in zip(values, results):
+    worst = max(code for code, _, _ in results)
+    for value, (code, summary, rejection) in zip(values, results):
+        if rejection is not None:
+            print(rejection, file=sys.stderr)
         dist = summary.get("min_distance")
         dist_text = "n/a" if dist is None else f"{dist:.3f}"
         print(f"{args.param}={json.dumps(value)}: exit {code}, min distance {dist_text}")

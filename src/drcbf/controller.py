@@ -13,19 +13,26 @@ control period.
 
 from __future__ import annotations
 
+import contextvars
 import math
-from dataclasses import dataclass, field
-from operator import neg
-from typing import Callable, Optional
+from dataclasses import dataclass
+from math import isfinite
+from operator import mul, neg
+from typing import Callable
 
-from .adaptive import AdrcbfChain, evaluate_with_clamping
-from .fields import ControlAffineSystem, SmoothScalarField, as_state
-from .qp import QpProblem, QpSolution, solve_qp
+from .adaptive import evaluate_with_clamping
+from .fields import (
+    ControlAffineSystem,
+    SmoothScalarField,
+    _CheckedState,
+    _Trace,
+    _Traced,
+    as_state,
+)
+from .qp import QpProblem, QpValidationError, _inverse_cholesky_factor, _kernel, solve_qp
 from .robust import (
+    BETA_DEGENERACY_TOL,
     AffineControlConstraint,
-    ChainEvaluation,
-    DrcbfChain,
-    HocbfChain,
     _checked_constraint,
     _dot,
     _row_times_matrix,
@@ -71,6 +78,13 @@ class ControllerSpec:
     objective_h is the symmetric positive-definite H of u'Hu; objective_f
     maps the state to the linear cost row F(x) (a constant row is also
     accepted). control_period is the zero-order-hold duration in seconds.
+
+    The first control_step traces the spec's assembly into a compiled step
+    (see _compile_step). For that, the system's f, g and h, objective_f and
+    every field evaluator of the chain and the CLF must be pure float
+    arithmetic and comparisons on their inputs; a spec whose assembly
+    cannot be traced runs the generic step throughout, with the same
+    results.
     """
 
     mode: str
@@ -101,6 +115,9 @@ class ControllerSpec:
         quad = [tuple(2.0 * h[i][j] for j in range(p)) + (0.0,) for i in range(p)]
         quad.append((0.0,) * p + (2.0 * self.clf.slack_weight,))
         object.__setattr__(self, "_qp_quadratic", tuple(quad))
+        # The compiled step, traced on the first control_step (it needs a
+        # state); False once the spec turned out not to be traceable.
+        object.__setattr__(self, "_step", None)
 
     @property
     def system(self) -> ControlAffineSystem:
@@ -123,31 +140,130 @@ class ControlStepResult:
     clf_offset: float
 
 
-def clf_constraint(clf: ClfSpec, system: ControlAffineSystem, x) -> AffineControlConstraint:
-    """Stability row over (u, slack):  L_g V . u - slack <= -sigma V - L_f V."""
-    xs = as_state(x, system.n)
+def _clf_terms(clf: ClfSpec, system: ControlAffineSystem, xs):
+    """Row over (u, slack) and offset of the stability row at a checked state."""
     value, grad = clf.V._jet(xs)
     lfv = _dot(grad, system.f(xs))
     lgv = _row_times_matrix(grad, system.g(xs), system.n, system.p)
-    row = (*lgv, -1.0)
-    offset = -clf.sigma * value - lfv
+    return (*lgv, -1.0), -clf.sigma * value - lfv
+
+
+def clf_constraint(clf: ClfSpec, system: ControlAffineSystem, x) -> AffineControlConstraint:
+    """Stability row over (u, slack):  L_g V . u - slack <= -sigma V - L_f V."""
+    row, offset = _clf_terms(clf, system, as_state(x, system.n))
     return AffineControlConstraint(row=row, offset=offset, sense="<=")
 
 
-def _cbf_constraint_for_mode(spec: ControllerSpec, x):
-    """Constraint plus the cascade evaluation and any guard events."""
+def _safety_terms(spec: ControllerSpec, xs):
+    """The cascade evaluation and the offset of the mode's safety row at a
+    checked state, unchecked and with guarded reciprocals unclamped."""
     chain = spec.chain
-    if spec.mode == "adrcbf":
-        ev, constraint, events = evaluate_with_clamping(chain, x)
-        return constraint, ev, events
-    ev = chain.evaluate(x)
+    ev = chain.evaluate(xs)
     if spec.mode == "drcbf":
         offset = chain.k[-1] * chain.disturbance_bound ** 2 - ev.top_drift
+    elif spec.mode == "adrcbf":
+        offset = chain.k[-1] * chain.top_energy(ev.phi[-1]) - ev.top_drift
     else:
         offset = -ev.top_drift
     for c, value in zip(chain.coeffs.row(chain.m), ev.levels):
         offset -= c * value
+    return ev, offset
+
+
+def _cbf_constraint_for_mode(spec: ControllerSpec, x):
+    """Constraint plus the cascade evaluation and any guard events."""
+    if spec.mode == "adrcbf":
+        ev, constraint, events = evaluate_with_clamping(spec.chain, x)
+        return constraint, ev, events
+    ev, offset = _safety_terms(spec, x)
     return _checked_constraint(ev.control_row, offset, x), ev, ()
+
+
+def _trace_assembly(spec: ControllerSpec, xs):
+    """The step's float work before the QP, as one generated function, or False.
+
+    The safety row, the stability row and objective_f run once at xs on
+    traced floats, in an empty context so that guarded reciprocals raise
+    instead of clamping. The result maps a checked state to (safety row,
+    safety offset, stability row, stability offset, c, phi), the last two
+    rows over (u, slack), and raises _Deopt where a recorded comparison comes
+    out differently. If anything fails, the spec keeps the generic step,
+    which then raises or clamps as the evaluation itself does.
+    """
+    system = spec.system
+    trace = _Trace()
+    inputs = _CheckedState(trace.inputs(xs))
+
+    def as_float(value):
+        # The generic step converts the rows, offsets and c with float().
+        # Traced values are floats when the function runs, since its inputs
+        # are, so only the constants need converting, here.
+        return value if value.__class__ is _Traced else float(value)
+
+    def assemble():
+        ev, offset = _safety_terms(spec, inputs)
+        clf_row, clf_offset = _clf_terms(spec.clf, system, inputs)
+        c = (*spec.objective_f(inputs), 0.0)
+        return (
+            tuple(map(as_float, ev.control_row)),
+            as_float(offset),
+            tuple(map(as_float, clf_row)),
+            as_float(clf_offset),
+            tuple(map(as_float, c)),
+            ev.phi,
+        )
+
+    # The generic step reproduces whatever went wrong, so any exception only
+    # means that this spec is not traced.
+    try:
+        outputs = contextvars.Context().run(assemble)
+        row, _, clf_row, _, c, _ = outputs
+        if trace.raised or not len(row) + 1 == len(clf_row) == len(c) == system.p + 1:
+            return False
+        return trace.function(outputs)
+    except Exception:
+        return False
+
+
+def _compile_step(spec: ControllerSpec, xs):
+    """control_step for spec as a function of a checked state, or False.
+
+    The function returns the same ControlStepResult as the generic step, or
+    None wherever the generic step has something else to do: a comparison
+    recorded by the trace comes out differently (a guard breach), the traced
+    assembly raises, an output is non-finite or the safety row is
+    degenerate. The caller then runs the generic step. A QP that is not
+    solved needs no fallback: the kernel's solution is solve_qp's, and
+    without guard events the generic step reports it the same way.
+    """
+    assembly = _trace_assembly(spec, xs)
+    if not assembly:
+        return False
+    Q = spec._qp_quadratic
+    try:
+        R = _inverse_cholesky_factor(Q)
+    except QpValidationError:
+        return False
+    kernel = _kernel(2, spec.system.p + 1)
+
+    def step(xs):
+        try:
+            row, offset, clf_row, clf_offset, c, phi = assembly(xs)
+        except Exception:
+            # _Deopt, or an error the generic step raises again itself.
+            return None
+        if not (
+            math.sqrt(sum(map(mul, row, row))) >= BETA_DEGENERACY_TOL
+            and isfinite(offset)
+            and isfinite(clf_offset)
+            and all(map(isfinite, (*row, *clf_row, *c)))
+        ):
+            return None
+        solution = kernel(R, Q, c, (clf_row, (*map(neg, row), 0.0)), (clf_offset, -offset))
+        cbf = AffineControlConstraint(row=row, offset=offset, sense=">=")
+        return _step_result(solution, cbf, clf_row, clf_offset, phi, ())
+
+    return step
 
 
 def control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:
@@ -156,7 +272,26 @@ def control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:
     The safety row is hard; the stability row is slacked. A non-optimal QP
     status is reported, not raised, so the simulation loop can abort with the
     partial log. The result is a pure function of (spec, x, t).
+
+    The first step of a spec traces its assembly into a compiled step (see
+    _compile_step); every step runs that, and the generic step wherever the
+    compiled one declines. Both give the same result, bit for bit.
     """
+    xs = as_state(x, spec.chain.system.n)
+    step = spec._step
+    if step is None:
+        step = _compile_step(spec, xs)
+        object.__setattr__(spec, "_step", step)
+    if step:
+        result = step(xs)
+        if result is not None:
+            return result
+    return _generic_control_step(spec, xs, t)
+
+
+def _generic_control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:
+    """control_step through the public layers: the cascade constraint (with
+    guard clamping in the adaptive mode), the stability row and the QP."""
     system = spec.system
     xs = as_state(x, system.n)
     p = system.p
@@ -176,34 +311,30 @@ def control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:
     b_vec = (clf_row_con.offset, -cbf.offset)
     solution = solve_qp(QpProblem(Q=spec._qp_quadratic, c=c_vec, A=a_rows, b=b_vec))
 
-    if solution.status != "optimal":
-        return ControlStepResult(
-            u=(),
-            slack=math.nan,
-            qp_status=solution.status,
-            cbf_residual=math.nan,
-            clf_residual=math.nan,
-            phi=ev.phi,
-            guard_events=guard_events,
-            cbf_constraint=cbf,
-            clf_row=clf_row_con.row,
-            clf_offset=clf_row_con.offset,
-        )
+    return _step_result(solution, cbf, clf_row_con.row, clf_row_con.offset, ev.phi, guard_events)
 
-    u = solution.z[:p]
-    slack = solution.z[p]
-    cbf_residual = _dot(cbf.row, u) - cbf.offset
-    clf_value = _dot(clf_row_con.row[:p], u) - slack
-    clf_residual = clf_row_con.offset - clf_value
+
+def _step_result(solution, cbf, clf_row, clf_offset, phi, guard_events):
+    """The step's result from its QP solution; a non-optimal status comes
+    with no control and NaN slack and residuals."""
+    if solution.status != "optimal":
+        u, slack, cbf_residual, clf_residual = (), math.nan, math.nan, math.nan
+    else:
+        p = len(clf_row) - 1
+        u = solution.z[:p]
+        slack = solution.z[p]
+        cbf_residual = _dot(cbf.row, u) - cbf.offset
+        clf_value = _dot(clf_row[:p], u) - slack
+        clf_residual = clf_offset - clf_value
     return ControlStepResult(
         u=u,
         slack=slack,
-        qp_status="optimal",
+        qp_status=solution.status,
         cbf_residual=cbf_residual,
         clf_residual=clf_residual,
-        phi=ev.phi,
+        phi=phi,
         guard_events=guard_events,
         cbf_constraint=cbf,
-        clf_row=clf_row_con.row,
-        clf_offset=clf_row_con.offset,
+        clf_row=clf_row,
+        clf_offset=clf_offset,
     )

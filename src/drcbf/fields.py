@@ -6,10 +6,12 @@ Lie-derivative rows, guarded reciprocals, algebraic combinations) remains
 exactly differentiable at the next level. Gradients are therefore true
 forward-mode derivatives at every recursion depth, never finite differences.
 
-Fields and systems are immutable after construction, apart from the jet
-trace a field builds for itself, and evaluation is pure, so concurrent
-evaluation from multiple workers is safe: two workers may both trace a
-field, and either trace serves.
+Fields and systems are immutable after construction and evaluation is
+pure, so concurrent evaluation from multiple workers is safe.
+
+_Trace and _Traced record the float operations of one evaluation as a
+generated function; the controller traces its whole control step with them
+(see drcbf.controller).
 """
 
 from __future__ import annotations
@@ -212,8 +214,8 @@ class _CheckedState(tuple):
 
     as_state hands such a state of the right length back unchanged, so a state
     checked once per control step is not converted again by every layer it
-    passes through. Jets at such states may run a traced evaluation (see
-    SmoothScalarField).
+    passes through. A step trace wraps its traced inputs in one for the same
+    reason.
     """
 
     __slots__ = ()
@@ -246,14 +248,7 @@ def _unit_seeds(n: int):
 
 
 class _Deopt(Exception):
-    """A comparison recorded while tracing a jet comes out differently here."""
-
-
-# Tracing a jet costs about as much as twenty Dual evaluations of it, so a
-# field is traced only after that many jets at checked states: fields
-# evaluated a few times (relative-degree checks) never pay for a trace, and
-# no field spends more than twice the least it could on its jets.
-_TRACE_AFTER_JETS = 20
+    """A comparison recorded by a trace comes out differently here."""
 
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
@@ -261,14 +256,25 @@ _COMPARISONS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq, "!=": ne}
 
 
 class _Trace:
-    """The float operations of one jet evaluation, as Python source."""
+    """The float operations of one evaluation, as Python source.
+
+    inputs() hands out traced floats; the evaluation runs on them, and
+    function() compiles what it did into a plain function of the input
+    values.
+    """
 
     def __init__(self):
         self.lines = []
         self.constants = []
+        self.n_inputs = 0
         # Set when an operation raised: the evaluation may have caught it and
         # branched on it, which the recorded lines would not show.
         self.raised = False
+
+    def inputs(self, values):
+        """Traced floats x0, x1, ... holding values: the inputs of function()."""
+        self.n_inputs = len(values)
+        return tuple(_Traced(self, f"x{i}", v) for i, v in enumerate(values))
 
     def operand(self, x):
         if x.__class__ is _Traced:
@@ -276,6 +282,8 @@ class _Trace:
         if x.__class__ is float or x.__class__ is int:
             self.constants.append(x)
             return f"k[{len(self.constants) - 1}]"
+        if x.__class__ is tuple:
+            return "(" + "".join(f"{self.operand(v)}, " for v in x) + ")"
         raise TypeError(f"cannot trace an operand of type {type(x).__name__}")
 
     def assign(self, expression, value):
@@ -283,25 +291,28 @@ class _Trace:
         self.lines.append(f"{name} = {expression}")
         return _Traced(self, name, value)
 
-    def function(self, n, value, gradient):
-        """Compile the recorded lines into traced_jet(xs) -> (value, gradient)."""
-        returned = "".join(f"{self.operand(g)}, " for g in gradient)
-        returned = f"{self.operand(value)}, ({returned})"
+    def function(self, outputs):
+        """Compile the recorded lines into traced(xs) -> outputs.
+
+        xs holds values for the inputs, in their order; outputs are traced
+        floats and constants in nested tuples.
+        """
+        returned = self.operand(outputs)
         source = "\n    ".join(
             [
-                "def traced_jet(xs, k=k):",
-                "".join(f"x{i}, " for i in range(n)) + "= xs",
+                "def traced(xs, k=k):",
+                "".join(f"x{i}, " for i in range(self.n_inputs)) + "= xs",
                 *self.lines,
                 f"return {returned}",
             ]
         )
         namespace = {"k": tuple(self.constants), "_Deopt": _Deopt}
         exec(source, namespace)
-        return namespace["traced_jet"]
+        return namespace["traced"]
 
 
 class _Traced:
-    """A float of a jet evaluation being traced: its value at the traced state
+    """A float of an evaluation being traced: its value at the traced inputs
     and the local of the generated function that holds it.
 
     Arithmetic with floats, ints and other traced floats is recorded in the
@@ -402,30 +413,6 @@ class _Traced:
         return outcome
 
 
-def _trace_jet(field, xs):
-    """The jet of field as a generated function of a checked state, or False.
-
-    The evaluation runs once at xs on traced floats, in an empty context so
-    that guarded reciprocals raise instead of recording clamping events. If
-    it fails for any reason, the field keeps its Dual evaluation, which then
-    reproduces whatever error the evaluation itself raises.
-    """
-    trace = _Trace()
-    inputs = tuple(_Traced(trace, f"x{i}", v) for i, v in enumerate(xs))
-    duals = tuple(map(Dual, inputs, _unit_seeds(field.n)))
-    # Whatever the failure, the Dual evaluation stays correct, so any
-    # exception only means that this field is not traced.
-    try:
-        out = contextvars.Context().run(field._evaluator, duals)
-        if trace.raised:
-            return False
-        if out.__class__ is Dual:
-            return trace.function(field.n, out.re, out.eps)
-        return trace.function(field.n, out, (0.0,) * field.n)
-    except Exception:
-        return False
-
-
 class SmoothScalarField:
     """A scalar function of the state with exact gradient evaluation.
 
@@ -433,16 +420,9 @@ class SmoothScalarField:
     with plain floats for values and with Dual entries for derivatives, to
     whatever nesting depth later constructions require.
 
-    The evaluator must also be pure and look at values only through
-    arithmetic and comparisons: once the field has had _TRACE_AFTER_JETS jets
-    at states checked by as_state, the next one traces the evaluator into a
-    generated function of the state that repeats the same float operations
-    without Dual objects. Later jets at checked states run that function,
-    and fall back to the Dual evaluation where a comparison recorded by the
-    trace (a reciprocal guard) comes out differently.
     """
 
-    __slots__ = ("_evaluator", "n", "provenance", "_checked_jets", "_traced")
+    __slots__ = ("_evaluator", "n", "provenance")
 
     def __init__(self, evaluator: Callable, n: int, provenance: str = "user-supplied"):
         if n < 1:
@@ -450,22 +430,9 @@ class SmoothScalarField:
         self._evaluator = evaluator
         self.n = n
         self.provenance = provenance
-        self._checked_jets = 0
-        self._traced = None
 
     # Raw jet evaluation; xs entries may be floats or Duals.
     def _jet(self, xs):
-        if xs.__class__ is _CheckedState:
-            traced = self._traced
-            if traced is None:
-                self._checked_jets += 1
-                if self._checked_jets > _TRACE_AFTER_JETS:
-                    traced = self._traced = _trace_jet(self, xs)
-            if traced:
-                try:
-                    return traced(xs)
-                except _Deopt:
-                    pass
         seeds = _unit_seeds(self.n)
         duals = tuple(Dual(xs[i], seeds[i]) for i in range(self.n))
         out = self._evaluator(duals)

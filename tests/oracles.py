@@ -3,8 +3,10 @@
 Everything here is deliberately written with a different method than the
 library code it checks: finite differences instead of forward-mode jets,
 dense grid refinement instead of active-set enumeration, direct polynomial
-expansion instead of iterated convolution, and a steady-state equation
-solved by bisection instead of a closed-loop simulation.
+expansion instead of iterated convolution, a steady-state equation
+solved by bisection instead of a closed-loop simulation, and a cascade
+derived by hand instead of by nested jets (the triple integrator, the one
+plant here of input relative degree 3).
 
 The one exception is reference_solve_qp: the QP solver's enumeration in its
 generic form (loops over every active set, an LDL' helper per subset). The
@@ -22,6 +24,7 @@ from operator import mul
 
 import numpy as np
 
+from drcbf.fields import ControlAffineSystem, field_from_callable
 from drcbf.qp import (
     FEASIBILITY_TOL,
     MULTIPLIER_TOL,
@@ -480,3 +483,39 @@ def reference_solve_qp(problem):
     return QpSolution(
         z=(), active_set=(), objective=math.inf, status="infeasible", multipliers=()
     )
+
+
+def triple_integrator():
+    """A plant of input relative degree 3: x = (p, v, a) with p' = v + d1,
+    v' = a and a' = u + d2. d1 is unmatched and enters at the first cascade
+    level of a barrier on p (drd_r = 1); d2 is matched."""
+    return ControlAffineSystem(
+        n=3,
+        p=1,
+        q=2,
+        f=lambda x: (x[1], x[2], 0.0),
+        g=lambda x: ((0.0,), (0.0,), (1.0,)),
+        h=lambda x: ((1.0, 0.0), (0.0, 0.0), (0.0, 1.0)),
+        ird_m=3,
+        drd_r=1,
+    )
+
+
+def ceiling_barrier(ceiling):
+    """b = P - p on the triple integrator."""
+    return field_from_callable(lambda x: ceiling - x[0], 3)
+
+
+def triple_integrator_drcbf_terms(x, ceiling, k, D):
+    """The robust cascade of b = P - p on the triple integrator, by hand.
+
+    L_h b = (-1, 0), so the first level pays the Young term: -v - 1/(4k1)
+    - k1 D^2. Its L_h is (0, 0), so the second level pays k2 D^2 only:
+    -a - k2 D^2. The top level's L_f vanishes and its L_h is (0, -1), so the
+    top drift is -1/(4k3) and the control row is (-1). Returns (levels, top
+    drift, control row).
+    """
+    p, v, a = x
+    k1, k2, k3 = k
+    levels = (ceiling - p, -v - 1.0 / (4.0 * k1) - k1 * (D * D), -a - k2 * (D * D))
+    return levels, -1.0 / (4.0 * k3), (-1.0,)

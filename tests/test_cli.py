@@ -326,6 +326,27 @@ class TestCommandLine:
             assert cells[0] == "gains.k_multiplier"
             assert math.isfinite(float(cells[5]))
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_rejected_member_ends_only_its_own_run(self, tmp_path, capsys, jobs):
+        # A 5 m initial gap is inside the 10 m floor: prepare_run rejects it.
+        cfg = write_config(tmp_path, quiet_doc(horizon=0.2))
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", str(cfg),
+                "--param", "parameters.initial_state",
+                "--values", "[100.0,20.0],[5.0,20.0],[80.0,20.0]",
+                "--out", str(out),
+                "--jobs", jobs,
+            ]
+        )
+        assert code == 1
+        assert "minimum gap" in capsys.readouterr().err
+        table = (out / "sweep_summary.csv").read_text().strip().splitlines()
+        assert [line.split('"')[2].split(",")[1] for line in table[1:]] == ["0", "1", "0"]
+        assert (out / "00_parameters_initial_state__100.0__20.0_" / "trajectory.csv").exists()
+        assert (out / "02_parameters_initial_state__80.0__20.0_" / "trajectory.csv").exists()
+
     def test_sweep_rejects_unknown_parameter_paths(self, tmp_path):
         cfg = write_config(tmp_path, quiet_doc())
         code = main(

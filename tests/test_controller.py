@@ -1,29 +1,43 @@
 """Per-step safety filter: CLF row algebra, QP assembly, hard-vs-slack roles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from drcbf.adaptive import build_adrcbf_chain
 from drcbf.controller import (
     ClfSpec,
     ControllerError,
     ControllerSpec,
+    _generic_control_step,
     clf_constraint,
     control_step,
 )
-from drcbf.fields import field_from_callable
+from drcbf.disturbances import evaluate as evaluate_signal
+from drcbf.fields import ControlAffineSystem, as_state, clamped_guards, field_from_callable
+from drcbf.poles import coefficients_from_poles
 from drcbf.qp import QpProblem, solve_qp
+from drcbf.robust import (
+    BarrierConstructionError,
+    DegenerateConstraintError,
+    build_drcbf_chain,
+    build_hocbf_chain,
+)
+from drcbf.simulate import integrate_step
 from drcbf.acc import (
     AccParameters,
     acc_system,
     build_acc_controller,
+    build_study,
     case_bound,
     drag_force,
     speed_tracking_clf,
 )
 
-from oracles import fd_gradient
+from oracles import ceiling_barrier, fd_gradient, triple_integrator
 
 PARAMS = AccParameters()
 SYSTEM = acc_system(PARAMS)
@@ -238,3 +252,205 @@ class TestControlStep:
             controls[mode] = control_step(spec, (150.0, 13.89), 0.0).u[0]
         assert controls["hocbf"] == pytest.approx(controls["drcbf"], rel=1e-12)
         assert controls["hocbf"] == pytest.approx(controls["adrcbf"], rel=1e-12)
+
+
+def assert_same_as_generic(spec, x, t=0.0):
+    # == on the whole result, and repr to tell -0.0 from 0.0.
+    got = control_step(spec, x, t)
+    want = _generic_control_step(spec, x, t)
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
+
+
+def compiled(spec, x):
+    """The compiled step's own result at x, or None where it defers."""
+    return spec._step(as_state(x, spec.system.n))
+
+
+def plant_with_input_gain(gain):
+    """x0' = 5 - x1, x1' = gain(x) u + d: the control row of b = x0 - 1
+    is -gain(x), so gain decides where the safety row degenerates."""
+    return ControlAffineSystem(
+        n=2,
+        p=1,
+        q=1,
+        f=lambda x: (5.0 - x[1], 0.0),
+        g=lambda x: ((0.0,), (gain(x),)),
+        h=lambda x: ((0.0,), (1.0,)),
+        ird_m=2,
+        drd_r=1,
+    )
+
+
+def hand_built_spec(system, *, V=None, objective_f=(0.0,), mode="hocbf", chain=None):
+    n = system.n
+    if chain is None:
+        barrier = field_from_callable(lambda x: x[0] - 1.0, n)
+        chain = build_hocbf_chain(system, barrier, coefficients_from_poles((1.0, 2.0)))
+    if V is None:
+        V = field_from_callable(lambda x: (x[1] - 3.0) * (x[1] - 3.0), n)
+    return ControllerSpec(
+        mode=mode,
+        chain=chain,
+        clf=ClfSpec(V=V, sigma=1.0, slack_weight=10.0),
+        objective_h=((1.0,),),
+        objective_f=objective_f,
+    )
+
+
+class TestCompiledStep:
+    """The first step traces a spec's assembly into one function; every
+    step's result must equal the generic step's, bit for bit."""
+
+    @pytest.mark.parametrize("mode, case", [("drcbf", 3), ("adrcbf", 3), ("hocbf", 1)])
+    def test_every_step_of_a_study_run(self, mode, case):
+        config = build_study(mode, case=case, horizon=7.0, verify=False)
+        spec, system = config.controller, config.system
+        x = config.x0
+        for k in range(config.steps):
+            t = k * config.control_period
+            result = assert_same_as_generic(spec, x, t)
+            assert compiled(spec, x) == result
+            assert result.qp_status == "optimal"
+            d = evaluate_signal(config.disturbance, t)
+            x = integrate_step(system, x, result.u, d, config.control_period)
+
+    def test_guard_breach_runs_the_generic_step_with_its_events(self):
+        spec = build_acc_controller(PARAMS, "adrcbf")
+        assert_same_as_generic(spec, (100.0, 13.89))
+        assert spec._step
+        breached = (10.0 + 1e-12, 20.0)
+        assert compiled(spec, breached) is None
+        result = assert_same_as_generic(spec, breached)
+        assert result.guard_events
+        assert result.guard_events == _generic_control_step(spec, breached, 0.0).guard_events
+        # The spec stays compiled for the states that need no clamping.
+        assert compiled(spec, (100.0, 13.89)) is not None
+
+    def test_first_step_in_a_clamping_context_is_traced_unclamped(self):
+        # The trace runs in an empty context: a breach while tracing fails
+        # the trace instead of baking the clamp into the compiled step.
+        spec = build_acc_controller(PARAMS, "adrcbf")
+        breached = (10.0 + 1e-12, 20.0)
+        with clamped_guards():
+            first = control_step(spec, breached, 0.0)
+        assert spec._step is False
+        assert first.guard_events
+        assert_same_as_generic(spec, breached)
+
+    def test_untraceable_objective_keeps_the_generic_step(self):
+        spec = build_acc_controller(PARAMS, "drcbf", disturbance_bound=BOUND)
+        spec = ControllerSpec(
+            mode=spec.mode,
+            chain=spec.chain,
+            clf=spec.clf,
+            objective_h=spec.objective_h,
+            objective_f=lambda x: (-1e-3 * math.exp(-x[1] / 10.0),),
+        )
+        for x in ((100.0, 13.89), (30.0, 25.0), (10.7, 35.0)):
+            assert_same_as_generic(spec, x)
+        assert spec._step is False
+
+    def test_evaluator_branching_on_a_caught_error_is_not_traced(self):
+        def evaluator(x):
+            err = x[1] - 3.0
+            try:
+                weight = 1.0 / (x[0] - 4.0)
+            except ZeroDivisionError:
+                weight = 0.0
+            return err * err * (1.0 + weight * weight)
+
+        system = plant_with_input_gain(lambda x: 1.0)
+        spec = hand_built_spec(system, V=field_from_callable(evaluator, 2))
+        first = assert_same_as_generic(spec, (4.0, 2.0))
+        assert spec._step is False
+        assert math.isfinite(first.u[0])
+        assert_same_as_generic(spec, (6.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "gain, x, error",
+        [
+            (lambda x: x[1] - 2.0, (4.0, 2.0), DegenerateConstraintError),
+            (lambda x: x[1] * 1e300, (4.0, 1e10), BarrierConstructionError),
+        ],
+    )
+    def test_bad_safety_row_raises_as_the_generic_step(self, gain, x, error):
+        spec = hand_built_spec(plant_with_input_gain(gain))
+        assert_same_as_generic(spec, (4.0, 3.0))
+        assert spec._step
+        assert compiled(spec, x) is None
+        with pytest.raises(error) as want:
+            _generic_control_step(spec, x, 0.0)
+        with pytest.raises(error) as got:
+            control_step(spec, x, 0.0)
+        assert str(got.value) == str(want.value)
+
+    def test_concurrent_first_steps_agree_with_the_generic_step(self):
+        spec = build_acc_controller(PARAMS, "adrcbf")
+        rng = np.random.default_rng(5)
+        states = [(float(g), float(v)) for g, v in rng.uniform((12.0, 5.0), (120.0, 30.0), (200, 2))]
+        want = [repr(_generic_control_step(spec, x, 0.0)) for x in states]
+        assert spec._step is None
+        mismatches = []
+
+        def worker():
+            for x, expected in zip(states, want):
+                if repr(control_step(spec, x, 0.0)) != expected:
+                    mismatches.append(x)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
+        assert spec._step
+
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_triple_integrator_random_states(self, mode):
+        spec = triple_integrator_spec(mode)
+        rng = np.random.default_rng(3)
+        served = 0
+        for x in rng.uniform((-5.0, -3.0, -3.0), (9.5, 3.0, 3.0), (400, 3)):
+            x = tuple(map(float, x))
+            assert_same_as_generic(spec, x)
+            served += compiled(spec, x) is not None
+        # Only the adaptive cascade defers, where an energy's guard is
+        # breached.
+        assert served == 400 if mode != "adrcbf" else served >= 300
+
+    def test_unsolved_qp_is_reported_as_the_generic_step_does(self):
+        # Far out, the stability row's offset is ~1e8, whose rounding
+        # exceeds the QP's absolute 1e-9 feasibility tolerance: the
+        # compiled step reports the failed solve itself.
+        spec = triple_integrator_spec("hocbf")
+        x = (-9432.692697729579, 4384.395456534807, -9680.165409528561)
+        result = assert_same_as_generic(spec, x)
+        assert result.qp_status == "infeasible"
+        assert compiled(spec, x) == result
+
+
+def triple_integrator_spec(mode):
+    system = triple_integrator()
+    barrier = ceiling_barrier(10.0)
+    coeffs = coefficients_from_poles((1.0, 2.0, 3.0))
+    gains = (1.0, 2.0, 3.0)
+    chain = {
+        "hocbf": lambda: build_hocbf_chain(system, barrier, coeffs),
+        "drcbf": lambda: build_drcbf_chain(system, barrier, coeffs, gains, 0.5),
+        "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, gains, (1.0, 1.0, 1.0)),
+    }[mode]()
+    return hand_built_spec(
+        system,
+        V=field_from_callable(lambda x: (x[1] + x[2] - 1.0) * (x[1] + x[2] - 1.0), 3),
+        objective_f=lambda x: (0.5 * x[2],),
+        mode=mode,
+        chain=chain,
+    )

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +27,8 @@ from drcbf.robust import (
     optimal_k,
 )
 from drcbf.acc import AccParameters, acc_system, distance_barrier, pole_table
+
+from oracles import ceiling_barrier, triple_integrator, triple_integrator_drcbf_terms
 
 PARAMS = AccParameters()
 SYSTEM = acc_system(PARAMS)
@@ -313,3 +316,45 @@ class TestMembership:
         assert phi1(lo) >= 0.0
         assert chain_membership(chain, (gap, lo))["in_set"]
         assert not chain_membership(chain, (gap, hi))["in_set"]
+
+
+class TestTripleIntegrator:
+    """Input relative degree 3: the cascade's jets nest three Duals deep."""
+
+    CEILING = 10.0
+    GAINS = (1.0, 2.0, 3.0)
+    D = 0.5
+
+    @staticmethod
+    def assert_within_ulps(got, want, scale, ulps=2):
+        assert abs(got - want) <= ulps * math.ulp(scale), (got, want)
+
+    def test_levels_and_top_drift_match_the_closed_forms(self):
+        system = triple_integrator()
+        chain = build_drcbf_chain(
+            system,
+            ceiling_barrier(self.CEILING),
+            coefficients_from_poles((1.0, 2.0, 3.0)),
+            self.GAINS,
+            self.D,
+            samples=[(1.0, -2.0, -3.0), (5.0, 1.0, 0.5)],
+        )
+        rng = np.random.default_rng(17)
+        states = [(1.0, -2.0, -3.0), *map(tuple, rng.uniform(-20.0, 20.0, (200, 3)))]
+        k1, k2, k3 = self.GAINS
+        for x in states:
+            ev = chain.evaluate(x)
+            levels, top_drift, control_row = triple_integrator_drcbf_terms(
+                x, self.CEILING, self.GAINS, self.D
+            )
+            # Each level's scale is its largest term, so that a level near
+            # zero by cancellation is still held to 2 ulp of its terms.
+            scales = (
+                max(self.CEILING, abs(x[0])),
+                max(abs(x[1]), 1.0 / (4.0 * k1), k1 * self.D**2),
+                max(abs(x[2]), k2 * self.D**2),
+            )
+            for got, want, scale in zip(ev.levels, levels, scales):
+                self.assert_within_ulps(got, want, scale)
+            self.assert_within_ulps(ev.top_drift, top_drift, 1.0 / (4.0 * k3))
+            assert ev.control_row == control_row

@@ -1,15 +1,10 @@
 """Jet-evaluable scalar fields, Lie derivatives, and relative-degree checks."""
 
-import sys
-import threading
-
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from drcbf.fields import (
-    _TRACE_AFTER_JETS,
     ControlAffineSystem,
     DimensionMismatchError,
     FieldError,
@@ -25,7 +20,6 @@ from drcbf.fields import (
     lie_g,
     lie_h,
     lie_row_squared_norm_field,
-    real_value,
     reciprocal_field,
     verify_relative_degree,
 )
@@ -309,99 +303,3 @@ def make_system_with_degrees(ird_m, drd_r):
         ird_m=ird_m,
         drd_r=drd_r,
     )
-
-
-class TestTracedJets:
-    """Jets at checked states run a traced copy of the Dual evaluation."""
-
-    @staticmethod
-    def warm(field, x):
-        for _ in range(_TRACE_AFTER_JETS + 1):
-            field._jet(as_state(x, 2))
-
-    @staticmethod
-    def cascade_fields():
-        system = make_two_state_system(
-            drift=lambda x: (x[1] - 0.3 * x[0] * x[1], -(0.5 + 0.2 * x[1] * x[1]) / 3.0),
-            h=lambda x: ((1.0,), (0.5 * x[0],)),
-        )
-        b = field_from_callable(lambda x: x[0] * x[0] - 1.0, 2)
-        energy = reciprocal_field(b, guard=1e-6, positive_domain=True)
-        level = lie_derivative_field(b, system.f) - lie_row_squared_norm_field(b, system.h, 1) * 2.0
-        return [
-            level,
-            lie_derivative_field(level, system.f),
-            level - energy * 0.7,
-            lie_derivative_field(level - energy * 0.7, system.f),
-        ]
-
-    def test_traced_jet_repeats_the_dual_evaluation_exactly(self):
-        rng = np.random.default_rng(11)
-        for field in self.cascade_fields():
-            self.warm(field, (2.0, 1.0))
-            for x in rng.uniform([1.2, -3.0], [4.0, 3.0], size=(50, 2)):
-                traced = field._jet(as_state(x, 2))
-                dual = field._jet(tuple(float(v) for v in x))
-                assert traced == dual
-            assert field._traced
-
-    def test_guard_breach_falls_back_with_the_same_events(self):
-        field = self.cascade_fields()[3]
-        self.warm(field, (2.0, 1.0))
-        assert field._traced
-        breached = (1.0 + 1e-9, 0.5)
-        with clamped_guards() as traced_events:
-            traced = field._jet(as_state(breached, 2))
-        with clamped_guards() as dual_events:
-            dual = field._jet(breached)
-        assert traced == dual
-        assert traced_events == dual_events and traced_events
-        with pytest.raises(ReciprocalGuardError):
-            field.gradient(breached)
-
-    def test_concurrent_jets_while_tracing_agree_with_the_dual_evaluation(self):
-        field = self.cascade_fields()[3]
-        states = [as_state(x, 2) for x in np.random.default_rng(5).uniform(1.2, 3.0, (200, 2))]
-        want = [field._jet(tuple(x)) for x in states]
-        mismatches = []
-
-        def worker():
-            for x, expected in zip(states, want):
-                if field._jet(x) != expected:
-                    mismatches.append(x)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not mismatches
-        assert field._traced
-
-    def test_untraceable_evaluator_keeps_the_dual_evaluation(self):
-        field = field_from_callable(
-            lambda x: x[0] * x[1] * (1.0 if float(real_value(x[0])) > 0.0 else -1.0), 2
-        )
-        self.warm(field, (2.0, 3.0))
-        assert field.gradient((2.0, 3.0)) == (3.0, 2.0)
-        assert field.gradient((-2.0, 3.0)) == (-3.0, 2.0)
-        assert field._traced is False
-
-    def test_evaluator_branching_on_a_caught_error_is_not_traced(self):
-        def evaluator(x):
-            try:
-                return 1.0 / (x[0] - 1.0)
-            except ZeroDivisionError:
-                return x[0] * 0.0
-
-        field = field_from_callable(evaluator, 2)
-        self.warm(field, (1.0, 0.0))
-        assert field.gradient((1.0, 0.0)) == (0.0, 0.0)
-        assert field._traced is False
-        assert field.gradient((3.0, 0.0)) == (-0.25, 0.0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drcbf import controller
+from drcbf import controller, qp
 from drcbf.acc import build_study
 from drcbf.qp import QpProblem, QpSolution, QpValidationError, solve_qp
 from drcbf.simulate import run_simulation
@@ -223,16 +223,28 @@ class TestGeneratedKernel:
     @pytest.mark.parametrize("mode", ["drcbf", "adrcbf"])
     def test_every_qp_of_a_study_run(self, mode, monkeypatch):
         # 7 s of case 3 pass through the sets (0,), () and, once settled
-        # (from ~5.9 s), the binding (0, 1) with its refinement step.
+        # (from ~5.9 s), the binding (0, 1) with its refinement step. The
+        # compiled control step calls its kernel directly, so the kernel
+        # lookup is patched before the spec takes its first step.
         active = set()
 
-        def checked(problem):
-            active.add(assert_same_as_reference(problem).active_set)
-            return solve_qp(problem)
+        def checked_kernel(n_con, dim):
+            kernel = qp._kernel(n_con, dim)
 
-        monkeypatch.setattr(controller, "solve_qp", checked)
+            def checked(R, Q, c, A, b):
+                solution = kernel(R, Q, c, A, b)
+                expected = assert_same_as_reference(QpProblem(Q=Q, c=c, A=A, b=b))
+                assert solution == expected
+                assert repr(solution) == repr(expected)
+                active.add(solution.active_set)
+                return solution
+
+            return checked
+
+        monkeypatch.setattr(controller, "_kernel", checked_kernel)
         log = run_simulation(build_study(mode, case=3, horizon=7.0, verify=False))
         assert not log.failed
+        assert len(log) == 7000
         assert active == {(), (0,), (0, 1)}
 
     def test_nearly_parallel_rows_above_the_rank_tolerance(self):

@@ -21,6 +21,7 @@ import concurrent.futures
 import copy
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -300,25 +301,27 @@ def write_trajectory_csv(path, log, phi_width: int = 2) -> None:
         + [f"phi_{i}" for i in range(phi_width)]
         + ["cbf_residual", "clf_residual", "qp_status"]
     )
+    # One format per row: "%.17g" writes each figure as format(v, ".17g")
+    # does, and no field needs quoting. An unsolved step has no control.
+    row = "%.17g," * (len(header) - 1) + "%s\r\n"
+    rows = zip(
+        log.times,
+        log.states,
+        log.controls,
+        log.slacks,
+        log.disturbances,
+        log.phi,
+        log.cbf_residuals,
+        log.clf_residuals,
+        log.qp_statuses,
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(log.times)):
-            u = log.controls[i]
-            row = [
-                _fmt(log.times[i]),
-                _fmt(log.states[i][0]),
-                _fmt(log.states[i][1]),
-                _fmt(u[0]) if u else "nan",
-                _fmt(log.slacks[i]),
-                _fmt(log.disturbances[i][0]),
-                _fmt(log.disturbances[i][1]),
-            ]
-            row.extend(_fmt(v) for v in log.phi[i])
-            row.append(_fmt(log.cbf_residuals[i]))
-            row.append(_fmt(log.clf_residuals[i]))
-            row.append(log.qp_statuses[i])
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            row
+            % (t, x[0], x[1], u[0] if u else math.nan, slack, d[0], d[1], *phi, cbf, clf, status)
+            for t, x, u, slack, d, phi, cbf, clf, status in rows
+        )
 
 
 def read_trajectory_csv(path) -> dict:

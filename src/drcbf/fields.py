@@ -11,7 +11,8 @@ pure, so concurrent evaluation from multiple workers is safe.
 
 _Trace and _Traced record the float operations of one evaluation as a
 generated function; the controller traces its whole control step with them
-(see drcbf.controller).
+(see drcbf.controller), and the simulator one RK4 step of a system (see
+drcbf.simulate).
 """
 
 from __future__ import annotations
@@ -526,6 +527,13 @@ class ControlAffineSystem:
     cascades can differentiate through them. ird_m is the number of
     differentiations of a barrier before u appears; drd_r the number before
     d appears.
+
+    The first integrate_step traces one RK4 step of the system into a
+    generated function (see drcbf.simulate._trace_rk4). For that, f, g and
+    h must be pure float arithmetic and comparisons on their inputs, as the
+    compiled control step also needs, whether or not a controller runs the
+    system; a system whose step cannot be traced is integrated by the
+    generic step throughout, with the same results.
     """
 
     n: int
@@ -545,6 +553,9 @@ class ControlAffineSystem:
             raise FieldError(
                 "disturbance relative degree must not exceed input relative degree"
             )
+        # The traced RK4 step, made by the first integrate_step; False once
+        # the system turned out not to be traceable.
+        object.__setattr__(self, "_rk4", None)
 
 
 def _grad_dot(grad, vec, n):

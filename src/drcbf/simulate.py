@@ -15,14 +15,15 @@ fault from a clean run that merely violated safety.
 
 from __future__ import annotations
 
-import math
+import contextvars
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Optional
 
 from .adaptive import AdrcbfChain, interior_membership
 from .controller import ControllerSpec, control_step
 from .disturbances import SignalRealization, evaluate as evaluate_signal, realize
-from .fields import ControlAffineSystem, as_state
+from .fields import ControlAffineSystem, _CheckedState, _Trace, as_state
 from .robust import DegenerateConstraintError, chain_membership
 
 __all__ = [
@@ -45,13 +46,12 @@ class SimulationError(ValueError):
 class IntegrationFault(RuntimeError):
     """The integrator produced a non-finite state."""
 
-    def __init__(self, t, x, u, d):
-        self.t = float(t)
+    def __init__(self, x, u, d):
         self.x = tuple(x)
         self.u = tuple(u)
         self.d = tuple(d)
         super().__init__(
-            f"non-finite state while integrating from t={self.t} at x={self.x} "
+            f"non-finite state while integrating from x={self.x} "
             f"with u={self.u}, d={self.d}"
         )
 
@@ -158,29 +158,100 @@ def _dynamics(system, x, u, d):
     return out
 
 
+def _rk4_stages(system, x, u, d, h):
+    k1 = _dynamics(system, x, u, d)
+    half = 0.5 * h
+    k2 = _dynamics(system, tuple([xi + half * ki for xi, ki in zip(x, k1)]), u, d)
+    k3 = _dynamics(system, tuple([xi + half * ki for xi, ki in zip(x, k2)]), u, d)
+    k4 = _dynamics(system, tuple([xi + h * ki for xi, ki in zip(x, k3)]), u, d)
+    return k1, k2, k3, k4
+
+
+def _rk4_sum(x, stages, h):
+    sixth = h / 6.0
+    return tuple(
+        [
+            xi + sixth * (a + 2.0 * (b + c) + e)
+            for xi, a, b, c, e in zip(x, *stages)
+        ]
+    )
+
+
+def _trace_rk4(system: ControlAffineSystem, x, u, d, h):
+    """One RK4 step of system as a generated function of (*x, *u, *d, h), or
+    False.
+
+    The stages and their sum run once on traced floats, so the function
+    repeats their float operations in the same order and raises _Deopt where
+    a recorded comparison comes out differently. They run in an empty
+    context, so that a guarded reciprocal raises instead of clamping. If
+    anything fails, the system keeps the generic step.
+    """
+    n, p = system.n, system.p
+    trace = _Trace()
+    inputs = trace.inputs((*x, *u, *d, h))
+    xs, us, ds, hs = inputs[:n], inputs[n : n + p], inputs[n + p : -1], inputs[-1]
+
+    def rk4():
+        return _rk4_sum(xs, _rk4_stages(system, xs, us, ds, hs), hs)
+
+    # The generic step reproduces whatever went wrong, so any exception only
+    # means that this system is not traced.
+    try:
+        outputs = contextvars.Context().run(rk4)
+        if trace.raised:
+            return False
+        return trace.function(outputs)
+    except Exception:
+        return False
+
+
 def integrate_step(system: ControlAffineSystem, x, u, d, h: float) -> tuple:
     """One classical RK4 step of length h with u and d held constant.
 
     Raises IntegrationFault if any stage overflows or the result goes
     non-finite (runaway dynamics under a fixed step).
+
+    The first call for a system traces the step into one generated function
+    of (*x, *u, *d, h) (see _trace_rk4), cached on the system; every call
+    with n, p and q entries runs it, and the generic step wherever it
+    declines: a recorded comparison comes out differently or the function
+    raises. Both give the same state, bit for bit. A state of n finite
+    plain floats comes back as a checked state, which the next control
+    step does not convert again.
     """
+    if len(x) == system.n and len(u) == system.p and len(d) == system.q:
+        step = system._rk4
+        if step is None:
+            step = _trace_rk4(system, x, u, d, h)
+            object.__setattr__(system, "_rk4", step)
+        if step:
+            try:
+                out = step((*x, *u, *d, h))
+            except Exception:
+                # _Deopt, or an error the generic step raises again itself.
+                pass
+            else:
+                for v in out:
+                    if v.__class__ is not float or not isfinite(v):
+                        break
+                else:
+                    return _CheckedState(out)
+                if not all(map(isfinite, out)):
+                    raise IntegrationFault(x, u, d)
+                return out
+    return _generic_integrate_step(system, x, u, d, h)
+
+
+def _generic_integrate_step(system: ControlAffineSystem, x, u, d, h: float) -> tuple:
+    """integrate_step through _dynamics, for any system and input lengths."""
     try:
-        k1 = _dynamics(system, x, u, d)
-        half = 0.5 * h
-        k2 = _dynamics(system, tuple([xi + half * ki for xi, ki in zip(x, k1)]), u, d)
-        k3 = _dynamics(system, tuple([xi + half * ki for xi, ki in zip(x, k2)]), u, d)
-        k4 = _dynamics(system, tuple([xi + h * ki for xi, ki in zip(x, k3)]), u, d)
+        stages = _rk4_stages(system, x, u, d, h)
     except OverflowError as exc:
-        raise IntegrationFault(math.nan, x, u, d) from exc
-    sixth = h / 6.0
-    out = tuple(
-        [
-            xi + sixth * (a + 2.0 * (b + c) + e)
-            for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
-        ]
-    )
-    if not all(map(math.isfinite, out)):
-        raise IntegrationFault(math.nan, x, u, d)
+        raise IntegrationFault(x, u, d) from exc
+    out = _rk4_sum(x, stages, h)
+    if not all(map(isfinite, out)):
+        raise IntegrationFault(x, u, d)
     return out
 
 

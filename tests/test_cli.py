@@ -1,7 +1,9 @@
 """Config schema, run/sweep commands, CSV round-trip, exit-code contract."""
 
+import csv
 import json
 import math
+import sys
 
 import pytest
 
@@ -18,7 +20,7 @@ from drcbf.cli import (
     _split_values,
 )
 from drcbf.robust import optimal_k
-from drcbf.simulate import run_simulation
+from drcbf.simulate import TrajectoryLog, run_simulation
 
 
 def quiet_doc(controller="drcbf", horizon=0.5, **extra):
@@ -236,6 +238,43 @@ class TestCsvContract:
             assert cols["cbf_residual"][i] == log.cbf_residuals[i]
             assert cols["clf_residual"][i] == log.clf_residuals[i]
             assert cols["qp_status"][i] == log.qp_statuses[i]
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, sys.float_info.min, 1e16]
+    )
+    def test_percent_format_writes_what_format_writes(self, value):
+        assert "%.17g" % value == format(value, ".17g")
+
+    def test_file_matches_a_csv_writer(self, tmp_path):
+        doc = case_document(3, "adrcbf", horizon=0.3, output={"plots": False})
+        config, _, _ = prepare_run(doc)
+        log = run_simulation(config)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(path, log)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(read_trajectory_csv(path))
+            for i in range(len(log)):
+                figures = (
+                    log.times[i], *log.states[i], log.controls[i][0], log.slacks[i],
+                    *log.disturbances[i], *log.phi[i], log.cbf_residuals[i], log.clf_residuals[i],
+                )
+                writer.writerow([format(v, ".17g") for v in figures] + [log.qp_statuses[i]])
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_unsolved_step_writes_nan_for_the_control(self, tmp_path):
+        log = TrajectoryLog(
+            times=[0.0], states=[(12.5, -0.0)], controls=[()], slacks=[math.nan],
+            disturbances=[(0.0, 1e16)], phi=[(5e-324, math.inf)],
+            cbf_residuals=[math.nan], clf_residuals=[-math.inf], qp_statuses=["infeasible"],
+        )
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(path, log)
+        assert path.read_bytes().splitlines()[1] == (
+            b"0,12.5,-0,nan,nan,0,10000000000000000,4.9406564584124654e-324,inf,nan,-inf,infeasible"
+        )
+        assert math.isnan(read_trajectory_csv(path)["u"][0])
 
     def test_summary_min_distance_matches_the_csv_column(self, tmp_path):
         code, summary = execute_document(pushed_doc(), out_dir=tmp_path)

@@ -2,24 +2,37 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from drcbf import simulate
-from drcbf.controller import ClfSpec, ControllerSpec
-from drcbf.fields import ControlAffineSystem, GuardEvent, field_from_callable
+from drcbf.controller import ClfSpec, ControllerSpec, control_step
+from drcbf.disturbances import evaluate as evaluate_signal
+from drcbf.fields import (
+    ControlAffineSystem,
+    GuardEvent,
+    _CheckedState,
+    clamped_guards,
+    coordinate_field,
+    field_from_callable,
+    reciprocal_field,
+)
 from drcbf.poles import coefficients_from_poles
 from drcbf.robust import build_hocbf_chain
 from drcbf.simulate import (
     IntegrationFault,
     SimulationConfig,
     SimulationError,
+    _generic_integrate_step,
     integrate_step,
     run_simulation,
 )
 from drcbf.acc import AccParameters, acc_system, build_study, drag_force, summarize_log
 
-from oracles import rk4_reference
+from oracles import rk4_reference, triple_integrator
 
 PARAMS = AccParameters()
 
@@ -95,11 +108,11 @@ class TestIntegrateStep:
                 x = integrate_step(system, x, (0.0,), (0.0,), 0.5)
 
 
-def cubic_runaway_config(horizon=5.0, dt=0.1):
+def cubic_runaway_config(horizon=5.0, dt=0.1, cube=lambda v: v ** 3):
     """A nominal-mode loop whose drift explodes in finite time."""
     system = ControlAffineSystem(
         n=2, p=1, q=1,
-        f=lambda x: (x[1] + x[0] ** 3, 0.0),
+        f=lambda x: (x[1] + cube(x[0]), 0.0),
         g=lambda x: ((0.0,), (1.0,)),
         h=lambda x: ((0.0,), (0.0,)),
         ird_m=2, drd_r=1,
@@ -225,6 +238,8 @@ class TestRunSimulation:
         log = run_simulation(cubic_runaway_config())
         assert log.failed
         assert "fault" in log.failure_reason
+        # The integrator does not know the time; the run's reason states it once.
+        assert "nan" not in log.failure_reason
         assert 0 < len(log) < 50
         assert log.final_time < 5.0
         summary = summarize_log(log, PARAMS)
@@ -253,6 +268,26 @@ class TestRunSimulation:
         assert log.metadata["guard_event_total"] == sum(log.guard_event_counts) >= 1
         assert summarize_log(log, PARAMS)["guard_event_total"] == log.metadata["guard_event_total"]
 
+    @pytest.mark.parametrize("substeps", [1, 2])
+    def test_one_integrate_step_call_per_substep(self, monkeypatch, substeps):
+        # The RK4 step stays a call of the module's integrate_step, once per
+        # substep, so that wrapping it times and counts every RK4 step.
+        calls = []
+        real_step = simulate.integrate_step
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real_step(*args)
+
+        monkeypatch.setattr(simulate, "integrate_step", counting)
+        config = build_study(
+            "drcbf", case=1, horizon=1.0, integrator_substeps=substeps, verify=False
+        )
+        log = run_simulation(config)
+        assert not log.failed
+        assert len(calls) == 1000 * substeps
+        assert set(calls) == {1e-3 / substeps}
+
     def test_substep_refinement_preserves_grid(self):
         config = build_study(
             "drcbf", case=2, horizon=0.05, integrator_substeps=4, verify=False
@@ -260,6 +295,238 @@ class TestRunSimulation:
         log = run_simulation(config)
         assert len(log) == 50
         assert not log.failed
+
+
+def same_as_generic(system, x, u, d, h):
+    """integrate_step's state, or its exception, checked against the generic
+    step's: equal, with the same repr and entry types."""
+    try:
+        want = _generic_integrate_step(system, x, u, d, h)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            integrate_step(system, x, u, d, h)
+        assert str(got.value) == str(exc)
+        return got.value
+    got = integrate_step(system, x, u, d, h)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert list(map(type, got)) == list(map(type, want))
+    if got.__class__ is _CheckedState:
+        assert all(v.__class__ is float and math.isfinite(v) for v in got)
+    return got
+
+
+def served(system, x, u, d, h):
+    """Whether the traced RK4 step computes this step itself."""
+    if not system._rk4 or (len(x), len(u), len(d)) != (system.n, system.p, system.q):
+        return False
+    try:
+        system._rk4((*x, *u, *d, h))
+    except Exception:
+        return False
+    return True
+
+
+class TestCompiledRk4:
+    """The first integrate_step traces one RK4 step of the system into one
+    function; every step must equal the generic step's, bit for bit."""
+
+    @pytest.mark.parametrize("mode, case", [("drcbf", 3), ("adrcbf", 3), ("hocbf", 1)])
+    def test_every_step_of_a_study_run(self, mode, case):
+        config = build_study(mode, case=case, horizon=7.0, verify=False)
+        spec, system, dt = config.controller, config.system, config.control_period
+        x = config.x0
+        for k in range(config.steps):
+            t = k * dt
+            u = control_step(spec, x, t).u
+            d = evaluate_signal(config.disturbance, t)
+            x_next = same_as_generic(system, x, u, d, dt)
+            assert served(system, x, u, d, dt)
+            assert x_next.__class__ is _CheckedState
+            x = x_next
+
+    def test_triple_integrator_random_inputs(self):
+        system = triple_integrator()
+        rng = np.random.default_rng(11)
+        for h in (1e-3, 5e-4, 0.1):
+            for row in rng.uniform(-50.0, 50.0, (700, 6)):
+                x, u, d = tuple(map(float, row[:3])), (float(row[3]),), tuple(map(float, row[4:]))
+                assert same_as_generic(system, x, u, d, h).__class__ is _CheckedState
+                assert served(system, x, u, d, h)
+
+    def test_every_substep_of_a_run(self, monkeypatch):
+        config = build_study("drcbf", case=2, horizon=1.0, integrator_substeps=2, verify=False)
+        substeps = []
+
+        def checked(system, x, u, d, h):
+            substeps.append(served(system, x, u, d, h))
+            return same_as_generic(system, x, u, d, h)
+
+        monkeypatch.setattr(simulate, "integrate_step", checked)
+        log = run_simulation(config)
+        assert not log.failed
+        # The first substep traces the system, so only it is not yet served.
+        assert substeps == [False] + [True] * 1999
+
+    def test_flipped_branch_runs_the_generic_step(self):
+        # x' = |x| from a comparison, whose outcome flips at x = 0.
+        system = ControlAffineSystem(
+            n=1, p=1, q=1,
+            f=lambda x: (x[0] if x[0] > 0.0 else -x[0],),
+            g=lambda x: ((1.0,),),
+            h=lambda x: ((0.5,),),
+            ird_m=1, drd_r=1,
+        )
+        same_as_generic(system, (2.0,), (1.0,), (0.5,), 0.1)
+        traced = system._rk4
+        assert traced
+        assert not served(system, (-2.0,), (1.0,), (0.5,), 0.1)
+        assert same_as_generic(system, (-2.0,), (1.0,), (0.5,), 0.1)[0] != 0.0
+        # The system stays compiled for states on the traced branch.
+        assert system._rk4 is traced
+        assert served(system, (3.0,), (-1.0,), (0.0,), 0.1)
+
+    def test_inputs_of_the_wrong_length_run_the_generic_step(self):
+        system = triple_integrator()
+        x, h = (1.0, 2.0, 3.0), 1e-2
+        for u, d in [((1.0, 2.0), (0.1, 0.2)), ((1.0,), (0.1, 0.2, 0.3)), ((), (0.1, 0.2))]:
+            same_as_generic(system, x, u, d, h)
+        # None of them is traced: the trace needs n, p and q entries.
+        assert system._rk4 is None
+        same_as_generic(system, x, (1.0,), (0.1, 0.2), h)
+        assert system._rk4
+        for u, d in [((1.0, 2.0), (0.1, 0.2)), ((1.0,), (0.1,)), ((), (0.1, 0.2))]:
+            assert not served(system, x, u, d, h)
+            same_as_generic(system, x, u, d, h)
+
+    @pytest.mark.parametrize("first", ["float", "int", "numpy"])
+    def test_int_and_numpy_inputs_keep_their_types(self, first):
+        system = triple_integrator()
+        inputs = {
+            "float": ((1.0, -2.0, 3.0), (0.5,), (0.25, -1.0), 0.01),
+            "int": ((1, -2, 3), (1,), (0, -1), 1),
+            "numpy": (
+                tuple(np.float64(v) for v in (1.0, -2.0, 3.0)),
+                (np.float64(0.5),),
+                (np.float64(0.25), np.float64(-1.0)),
+                np.float64(0.01),
+            ),
+        }
+        same_as_generic(system, *inputs[first])
+        assert system._rk4
+        for args in inputs.values():
+            same_as_generic(system, *args)
+            assert served(system, *args)
+        assert {type(v) for v in integrate_step(system, *inputs["numpy"])} == {np.float64}
+
+    def test_untraceable_dynamics_keep_the_generic_step(self):
+        system = ControlAffineSystem(
+            n=2, p=1, q=1,
+            f=lambda x: (x[1], -math.sin(x[0]) - 0.1 * x[1] ** 2),
+            g=lambda x: ((0.0,), (1.0,)),
+            h=lambda x: ((0.0,), (1.0,)),
+            ird_m=2, drd_r=2,
+        )
+        same_as_generic(system, (0.3, 0.1), (0.2,), (0.0,), 0.05)
+        assert system._rk4 is False
+        same_as_generic(system, (1.3, -0.4), (0.7,), (-0.2,), 0.05)
+
+    def test_dynamics_branching_on_a_caught_error_are_not_traced(self):
+        def f(x):
+            try:
+                weight = 1.0 / (x[0] - 4.0)
+            except ZeroDivisionError:
+                weight = 0.0
+            return (-x[0] * (1.0 + weight * weight),)
+
+        system = ControlAffineSystem(
+            n=1, p=1, q=1, f=f, g=lambda x: ((1.0,),), h=lambda x: ((1.0,),),
+            ird_m=1, drd_r=1,
+        )
+        same_as_generic(system, (4.0,), (0.0,), (0.0,), 0.01)
+        assert system._rk4 is False
+        same_as_generic(system, (6.0,), (0.0,), (0.0,), 0.01)
+
+    def test_first_step_in_a_clamping_context_is_traced_unclamped(self):
+        # The trace runs in an empty context: a guard breach while tracing
+        # fails the trace instead of baking the clamp into the function.
+        energy = reciprocal_field(coordinate_field(0, 1), 0.5, positive_domain=True)._evaluator
+        system = ControlAffineSystem(
+            n=1, p=1, q=1, f=lambda x: (-energy(x),), g=lambda x: ((1.0,),),
+            h=lambda x: ((1.0,),), ird_m=1, drd_r=1,
+        )
+        for x in ((0.1,), (0.2,)):
+            with clamped_guards() as want:
+                expected = _generic_integrate_step(system, x, (0.0,), (0.0,), 0.01)
+            with clamped_guards() as got:
+                assert integrate_step(system, x, (0.0,), (0.0,), 0.01) == expected
+            assert got == want
+            assert len(got) == 4
+        assert system._rk4 is False
+
+    def test_a_raising_step_raises_as_the_generic_step(self):
+        system = ControlAffineSystem(
+            n=1, p=1, q=1,
+            f=lambda x: (1.0 / x[0],),
+            g=lambda x: ((1.0,),),
+            h=lambda x: ((1.0,),),
+            ird_m=1, drd_r=1,
+        )
+        same_as_generic(system, (1.0,), (0.0,), (0.0,), 0.1)
+        assert system._rk4
+        # The traced division by zero raises; so does the generic step.
+        assert isinstance(same_as_generic(system, (0.0,), (0.0,), (0.0,), 0.1), ZeroDivisionError)
+        # An int too large for a float overflows in a stage, which the
+        # generic step reports as an integration fault.
+        triple = triple_integrator()
+        same_as_generic(triple, (1.0, 2.0, 3.0), (1.0,), (0.0, 0.0), 0.1)
+        fault = same_as_generic(triple, (10**400, 0, 0), (1.0,), (0.0, 0.0), 0.1)
+        assert isinstance(fault, IntegrationFault)
+        assert isinstance(fault.__cause__, OverflowError)
+
+    def test_concurrent_first_steps_agree_with_the_generic_step(self):
+        system = triple_integrator()
+        rng = np.random.default_rng(7)
+        inputs = [
+            (tuple(map(float, row[:3])), (float(row[3]),), tuple(map(float, row[4:])), 1e-2)
+            for row in rng.uniform(-10.0, 10.0, (300, 6))
+        ]
+        want = [repr(_generic_integrate_step(system, *args)) for args in inputs]
+        assert system._rk4 is None
+        mismatches = []
+
+        def worker():
+            for args, expected in zip(inputs, want):
+                if repr(integrate_step(system, *args)) != expected:
+                    mismatches.append(args)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
+        assert system._rk4
+
+    def test_traceable_runaway_truncates_as_the_generic_step(self, monkeypatch):
+        config = cubic_runaway_config(cube=lambda v: v * v * v)
+        compiled_log = run_simulation(config)
+        assert compiled_log.failed
+        assert "nan" not in compiled_log.failure_reason
+        # The traced step itself overflowed to a non-finite state.
+        assert served(config.system, compiled_log.states[-1], compiled_log.controls[-1], (0.0,), 0.1)
+        monkeypatch.setattr(simulate, "integrate_step", _generic_integrate_step)
+        generic_log = run_simulation(cubic_runaway_config(cube=lambda v: v * v * v))
+        assert repr(compiled_log) == repr(generic_log)
+        assert compiled_log.failure_reason == generic_log.failure_reason
+        assert compiled_log.final_state == generic_log.final_state
+        assert 0 < len(compiled_log) < 50
 
 
 class TestStepSizeRobustness:

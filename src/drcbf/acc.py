@@ -464,7 +464,8 @@ def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:
     steady reports whether that window is trend-free: the gap and speed means
     over its two halves must agree within a fixed drift. A persistent
     oscillation driven by the disturbance still counts as settled; a window
-    that straddles the transient does not.
+    that straddles the transient does not. safety_binding_fraction is the
+    share of steps whose QP active set holds the safety row (row 1).
     """
     if not log.times:
         return {
@@ -508,5 +509,6 @@ def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:
         "steady": gap_drift <= STEADY_MEAN_DRIFT and speed_drift <= STEADY_MEAN_DRIFT,
         "final_distance": log.final_state[0] if log.final_state else None,
         "guard_event_total": sum(log.guard_event_counts),
+        "safety_binding_fraction": sum(1 in s for s in log.active_sets) / len(log.times),
         "mean_control": sum(applied) / len(applied) if applied else None,
     }

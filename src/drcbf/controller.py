@@ -9,6 +9,13 @@ Each control step solves
 Only the stability constraint carries the slack, so tracking degrades before
 safety ever does. The control is held constant (zero-order hold) for one
 control period.
+
+A spec's first step compiles the whole step into one generated function of
+the state (see _compile_step): the traced assembly of both rows and the
+cost, the output checks, the QP's active-set enumeration from the lines
+drcbf.qp generates for its own kernels, with this spec's factor of Q baked
+in as literals, and the result. The step through the public layers stays as
+the exact fallback.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import contextvars
 import math
 from dataclasses import dataclass
 from math import isfinite
-from operator import mul, neg
+from operator import neg
 from typing import Callable
 
 from .adaptive import evaluate_with_clamping
@@ -29,7 +36,7 @@ from .fields import (
     _Traced,
     as_state,
 )
-from .qp import QpProblem, QpValidationError, _inverse_cholesky_factor, _kernel, solve_qp
+from .qp import QpProblem, _inverse_cholesky_factor, _kernel_lines, _sum, solve_qp
 from .robust import (
     BETA_DEGENERACY_TOL,
     AffineControlConstraint,
@@ -138,6 +145,7 @@ class ControlStepResult:
     cbf_constraint: AffineControlConstraint
     clf_row: tuple
     clf_offset: float
+    active_set: tuple
 
 
 def _clf_terms(clf: ClfSpec, system: ControlAffineSystem, xs):
@@ -179,16 +187,35 @@ def _cbf_constraint_for_mode(spec: ControllerSpec, x):
     return _checked_constraint(ev.control_row, offset, x), ev, ()
 
 
-def _trace_assembly(spec: ControllerSpec, xs):
-    """The step's float work before the QP, as one generated function, or False.
+def _frozen(cls, fields):
+    """An instance of the frozen dataclass cls holding fields, a dict of
+    every field in declaration order, without its __init__ or __post_init__.
 
-    The safety row, the stability row and objective_f run once at xs on
-    traced floats, in an empty context so that guarded reciprocals raise
-    instead of clamping. The result maps a checked state to (safety row,
-    safety offset, stability row, stability offset, c, phi), the last two
-    rows over (u, slack), and raises _Deopt where a recorded comparison comes
-    out differently. If anything fails, the spec keeps the generic step,
-    which then raises or clamps as the evaluation itself does.
+    Only for values that have passed cls's own checks already, as the
+    compiled step's outputs have."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _compile_step(spec: ControllerSpec, xs):
+    """control_step for spec as one generated function of a checked state,
+    or False.
+
+    The step's float work before the QP (the safety row, the stability row
+    and objective_f) runs once at xs on traced floats, in an empty context
+    so that guarded reciprocals raise instead of clamping. The function
+    repeats it, checks its outputs as the generic step's layers do, runs the
+    QP's active-set enumeration with the spec's factor of Q baked in (see
+    drcbf.qp._kernel_lines) and builds the result. It returns the generic
+    step's ControlStepResult, or None wherever the generic step has
+    something else to do: a comparison recorded by the trace comes out
+    differently (a guard breach), the traced assembly raises, an output is
+    non-finite or the safety row is degenerate. The caller then runs the
+    generic step. A QP that is not solved needs no fallback: without guard
+    events the generic step reports it the same way. If the trace fails,
+    the spec keeps the generic step, which then raises or clamps as the
+    evaluation itself does.
     """
     system = spec.system
     trace = _Trace()
@@ -216,54 +243,78 @@ def _trace_assembly(spec: ControllerSpec, xs):
     # The generic step reproduces whatever went wrong, so any exception only
     # means that this spec is not traced.
     try:
+        R = _inverse_cholesky_factor(spec._qp_quadratic)
         outputs = contextvars.Context().run(assemble)
         row, _, clf_row, _, c, _ = outputs
         if trace.raised or not len(row) + 1 == len(clf_row) == len(c) == system.p + 1:
             return False
-        return trace.function(outputs)
+        tail = _step_tail(trace, R, *outputs)
+        return trace.function(tail, _STEP_NAMESPACE, declines=True)
     except Exception:
         return False
 
 
-def _compile_step(spec: ControllerSpec, xs):
-    """control_step for spec as a function of a checked state, or False.
+_STEP_NAMESPACE = {
+    "sqrt": math.sqrt,
+    "isfinite": isfinite,
+    "nan": math.nan,
+    "_frozen": _frozen,
+    "ControlStepResult": ControlStepResult,
+    "AffineControlConstraint": AffineControlConstraint,
+}
 
-    The function returns the same ControlStepResult as the generic step, or
-    None wherever the generic step has something else to do: a comparison
-    recorded by the trace comes out differently (a guard breach), the traced
-    assembly raises, an output is non-finite or the safety row is
-    degenerate. The caller then runs the generic step. A QP that is not
-    solved needs no fallback: the kernel's solution is solve_qp's, and
-    without guard events the generic step reports it the same way.
-    """
-    assembly = _trace_assembly(spec, xs)
-    if not assembly:
-        return False
-    Q = spec._qp_quadratic
-    try:
-        R = _inverse_cholesky_factor(Q)
-    except QpValidationError:
-        return False
-    kernel = _kernel(2, spec.system.p + 1)
 
-    def step(xs):
-        try:
-            row, offset, clf_row, clf_offset, c, phi = assembly(xs)
-        except Exception:
-            # _Deopt, or an error the generic step raises again itself.
-            return None
-        if not (
-            math.sqrt(sum(map(mul, row, row))) >= BETA_DEGENERACY_TOL
-            and isfinite(offset)
-            and isfinite(clf_offset)
-            and all(map(isfinite, (*row, *clf_row, *c)))
-        ):
-            return None
-        solution = kernel(R, Q, c, (clf_row, (*map(neg, row), 0.0)), (clf_offset, -offset))
-        cbf = AffineControlConstraint(row=row, offset=offset, sense=">=")
-        return _step_result(solution, cbf, clf_row, clf_offset, phi, ())
+def _step_tail(trace, R, row, offset, clf_row, clf_offset, c, phi):
+    """The compiled step's lines after the traced assembly: the generic
+    step's output checks, the QP with the factor R of its quadratic and the
+    result."""
+    op = trace.operand
+    p = len(row)
+    checked = [v for v in (offset, clf_offset, *row, *clf_row, *c)
+               if v.__class__ is _Traced or not isfinite(v)]
+    lines = [
+        f"if not (sqrt({_sum([f'{op(v)} * {op(v)}' for v in row])}) >= {BETA_DEGENERACY_TOL!r}"
+        + "".join(f" and isfinite({op(v)})" for v in checked)
+        + "): return None"
+    ]
+    # Both rows normalized to <= sense: the safety row flips sign. On traced
+    # values the negation is one more recorded line.
+    A = (clf_row, (*map(neg, row), 0.0))
+    b = (clf_offset, -offset)
 
-    return step
+    def result(u, slack, status, cbf_residual, clf_residual, active_set):
+        return (
+            f"return _frozen(ControlStepResult, {{'u': {u}, 'slack': {slack},"
+            f" 'qp_status': {status}, 'cbf_residual': {cbf_residual},"
+            f" 'clf_residual': {clf_residual}, 'phi': {op(phi)}, 'guard_events': (),"
+            f" 'cbf_constraint': _frozen(AffineControlConstraint,"
+            f" {{'row': {op(row)}, 'offset': {op(offset)}, 'sense': '>='}}),"
+            f" 'clf_row': {op(clf_row)}, 'clf_offset': {op(clf_offset)},"
+            f" 'active_set': {active_set}}})"
+        )
+
+    def accept(z, subset, lam):
+        # The residuals in robust._dot's order: left to right from the first
+        # product.
+        u = z[:p]
+        cbf_dot = " + ".join(f"{op(r)} * {x}" for r, x in zip(row, u))
+        clf_dot = " + ".join(f"{op(r)} * {x}" for r, x in zip(clf_row, u))
+        return [
+            result(f"({''.join(f'{x}, ' for x in u)})", z[p], "'optimal'",
+                   f"{cbf_dot} - {op(offset)}", f"{op(clf_offset)} - ({clf_dot} - {z[p]})",
+                   repr(subset))
+        ]
+
+    reject = [result("()", "nan", "'infeasible'", "nan", "nan", "()")]
+    lines += _kernel_lines(
+        [list(map(op, r)) for r in R],
+        list(map(op, c)),
+        [list(map(op, a)) for a in A],
+        list(map(op, b)),
+        accept,
+        reject,
+    )
+    return lines
 
 
 def control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:
@@ -273,9 +324,9 @@ def control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:
     status is reported, not raised, so the simulation loop can abort with the
     partial log. The result is a pure function of (spec, x, t).
 
-    The first step of a spec traces its assembly into a compiled step (see
-    _compile_step); every step runs that, and the generic step wherever the
-    compiled one declines. Both give the same result, bit for bit.
+    The first step of a spec compiles the step into one generated function
+    (see _compile_step); every step runs that, and the generic step wherever
+    the compiled one declines. Both give the same result, bit for bit.
     """
     xs = as_state(x, spec.chain.system.n)
     step = spec._step
@@ -337,4 +388,5 @@ def _step_result(solution, cbf, clf_row, clf_offset, phi, guard_events):
         cbf_constraint=cbf,
         clf_row=clf_row,
         clf_offset=clf_offset,
+        active_set=solution.active_set,
     )

@@ -259,30 +259,54 @@ _COMPARISONS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq, "!=": ne}
 class _Trace:
     """The float operations of one evaluation, as Python source.
 
-    inputs() hands out traced floats; the evaluation runs on them, and
-    function() compiles what it did into a plain function of the input
-    values.
+    inputs() and input() hand out traced floats; the evaluation runs on
+    them, and function() compiles what it did, followed by lines of the
+    caller's, into a plain function of the input values.
     """
 
     def __init__(self):
         self.lines = []
-        self.constants = []
+        # Non-finite constants, which have no literal, by the global names
+        # they are bound to.
+        self.constants = {}
         self.n_inputs = 0
+        # One entry per argument of function(): its name, and the names of
+        # the inputs it is unpacked into (None for a single input).
+        self.arguments = []
         # Set when an operation raised: the evaluation may have caught it and
         # branched on it, which the recorded lines would not show.
         self.raised = False
 
+    def input(self, value):
+        """A traced float holding value: the next argument of function()."""
+        name = f"x{self.n_inputs}"
+        self.n_inputs += 1
+        self.arguments.append((name, None))
+        return _Traced(self, name, value)
+
     def inputs(self, values):
-        """Traced floats x0, x1, ... holding values: the inputs of function()."""
-        self.n_inputs = len(values)
-        return tuple(_Traced(self, f"x{i}", v) for i, v in enumerate(values))
+        """Traced floats holding values: the next argument of function(), a
+        sequence of exactly that many entries."""
+        start = self.n_inputs
+        self.n_inputs += len(values)
+        names = [f"x{i}" for i in range(start, self.n_inputs)]
+        self.arguments.append((f"a{len(self.arguments)}", names))
+        return tuple(_Traced(self, name, v) for name, v in zip(names, values))
 
     def operand(self, x):
+        """Source for a traced float, a constant or a nested tuple of them.
+
+        A finite constant is written as its repr, which reads back as the
+        same float or int, -0.0 included; inf and nan are bound to names.
+        """
         if x.__class__ is _Traced:
             return x.name
-        if x.__class__ is float or x.__class__ is int:
-            self.constants.append(x)
-            return f"k[{len(self.constants) - 1}]"
+        if x.__class__ is int or (x.__class__ is float and math.isfinite(x)):
+            return repr(x)
+        if x.__class__ is float:
+            name = f"K{len(self.constants)}"
+            self.constants[name] = x
+            return name
         if x.__class__ is tuple:
             return "(" + "".join(f"{self.operand(v)}, " for v in x) + ")"
         raise TypeError(f"cannot trace an operand of type {type(x).__name__}")
@@ -292,24 +316,26 @@ class _Trace:
         self.lines.append(f"{name} = {expression}")
         return _Traced(self, name, value)
 
-    def function(self, outputs):
-        """Compile the recorded lines into traced(xs) -> outputs.
+    def function(self, tail, namespace=(), declines=False):
+        """Compile the recorded lines, then the lines tail, into one function.
 
-        xs holds values for the inputs, in their order; outputs are traced
-        floats and constants in nested tuples.
+        Its arguments are those of inputs() and input(), in order; a sequence
+        argument of the wrong length raises. tail reads the evaluation's
+        values by operand() and ends the function, e.g. with a return;
+        namespace holds the globals it needs besides _Deopt. Where the
+        evaluation raises (a _Deopt included), the function raises too, or
+        returns None if it declines.
         """
-        returned = self.operand(outputs)
+        body = [f"{''.join(f'{x}, ' for x in xs)}= {arg}" for arg, xs in self.arguments if xs]
+        body += self.lines
+        if declines:
+            body = ["try:", *(f"    {line}" for line in body), "except Exception:", "    return None"]
         source = "\n    ".join(
-            [
-                "def traced(xs, k=k):",
-                "".join(f"x{i}, " for i in range(self.n_inputs)) + "= xs",
-                *self.lines,
-                f"return {returned}",
-            ]
+            [f"def traced({', '.join(arg for arg, _ in self.arguments)}):", *body, *tail]
         )
-        namespace = {"k": tuple(self.constants), "_Deopt": _Deopt}
-        exec(source, namespace)
-        return namespace["traced"]
+        globals_ = {"_Deopt": _Deopt, **self.constants, **dict(namespace)}
+        exec(source, globals_)
+        return globals_["traced"]
 
 
 class _Traced:

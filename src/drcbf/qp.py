@@ -22,7 +22,11 @@ cached, as CVXGEN does for its solvers (Mattingley and Boyd, Optim. Eng.
 active set's LDL' factor, multipliers and checks, with no loop over
 subsets or rows. It performs the same float operations in the same order
 as the generic loop it replaces (kept as reference_solve_qp in the test
-oracles), so its solutions are bit-identical to that loop's.
+oracles), so its solutions are bit-identical to that loop's. The lines of
+the enumeration come from one generator, _kernel_lines, which the compiled
+control step (drcbf.controller) shares: there the factor of Q is baked in
+as literals per controller spec, the data are the traced step's values and
+an accepted active set builds the step's result instead of a QpSolution.
 """
 
 from __future__ import annotations
@@ -209,26 +213,23 @@ def _ldl_solve_lines(m, d, rhs, out):
     return lines
 
 
-@lru_cache(maxsize=32)
-def _kernel(n_con, dim):
-    """solve_qp for problems of one shape, as one generated function.
+def _kernel_lines(R, c, A, b, accept, reject):
+    """The generic active-set enumeration's float operations in their order,
+    as the lines of one generated function.
 
-    kernel(R, Q, c, A, b) unpacks its data into locals and repeats the
-    generic active-set enumeration's float operations in their order: the
+    R, c, A and b are the sources of the data's entries (locals or
+    literals), R the rows of the lower triangle. The lines form the
     coordinates y, v_i, the Gram matrix and gap; then, for every active set
     in combinations order, the LDL' pivots with their rank check, the
     multipliers and their sign check, the screening of the other rows, the
-    refinement step, z = -R'w, the feasibility check of every row on z and
-    the objective in QpProblem.objective's order. Each active set is a
-    `while True` block that a failed check leaves by `break`. The tolerances
-    are baked in as literals.
+    refinement step, z = -R'w and the feasibility check of every row on z.
+    Each active set is a `while True` block that a failed check leaves by
+    `break`; the first to pass runs the lines accept(z, subset, lam), given
+    the locals of z and of the multipliers, which must return. The lines
+    reject run when none passes. The tolerances are baked in as literals.
     """
+    n_con, dim = len(b), len(c)
     rows, cols = range(n_con), range(dim)
-    R = [[f"r{i}_{j}" for j in range(i + 1)] for i in cols]
-    Q = [[f"q{i}_{j}" for j in cols] for i in cols]
-    c = [f"c{j}" for j in cols]
-    A = [[f"a{i}_{j}" for j in cols] for i in rows]
-    b = [f"b{i}" for i in rows]
     y = [f"y{j}" for j in cols]
     v = [[f"v{i}_{j}" for j in cols] for i in rows]
     e = [f"e{i}" for i in rows]
@@ -236,29 +237,9 @@ def _kernel(n_con, dim):
     def g(i, j):
         return f"g{min(i, j)}_{max(i, j)}"
 
-    def items(names):
-        return "".join(f"{name}, " for name in names)
-
-    def tup(names):
-        return f"({items(names)})"
-
-    def unpack(names, data):
-        return f"{items(names)}= {data}"
-
-    body = []
-    if dim:
-        body += [
-            unpack(map(tup, R), "R"),
-            unpack(map(tup, Q), "Q"),
-            unpack(c, "c"),
-        ]
-        if n_con:
-            body.append(unpack(map(tup, A), "A"))
-    if n_con:
-        body.append(unpack(b, "b"))
     # In the coordinates of R: y = R c and v_i = R a_i, so z0 = -R'y,
     # (A Q^-1 A')_ij = v_i . v_j and gap_i = (A z0 - b)_i = -v_i . y - b_i.
-    body += [f"{y[k]} = {_dot(R[k], c)}" for k in cols]
+    body = [f"{y[k]} = {_dot(R[k], c)}" for k in cols]
     body += [f"{v[i][k]} = {_dot(R[k], A[i])}" for i in rows for k in cols]
     body += [f"{g(i, j)} = {_dot(v[i], v[j])}" for i in rows for j in rows[i:]]
     body += [f"{e[i]} = -{_dot(v[i], y)} - {b[i]}" for i in rows]
@@ -308,17 +289,58 @@ def _kernel(n_con, dim):
             block += [
                 f"if {_dot(A[i], z)} > {b[i]} + {FEASIBILITY_TOL!r}: break" for i in rows
             ]
-            terms = [f"{z[i]} * {Q[i][j]} * {z[j]}" for i in cols for j in cols]
-            quad = _chain("0.0", "+", terms)
-            multipliers = ["0.0"] * n_con
-            for s, l in zip(subset, lam):
-                multipliers[s] = l
-            block.append(
-                f"return QpSolution({tup(z)}, {subset!r}, 0.5 * ({quad}) + {_dot(c, z)},"
-                f" 'optimal', {tup(multipliers)})"
-            )
+            block += accept(z, subset, lam)
             body += ["while True:", *(f"    {line}" for line in block)]
-    body.append("return QpSolution((), (), inf, 'infeasible', ())")
+    return body + list(reject)
+
+
+@lru_cache(maxsize=32)
+def _kernel(n_con, dim):
+    """solve_qp for problems of one shape, as one generated function.
+
+    kernel(R, Q, c, A, b) unpacks its data into locals and runs the lines of
+    _kernel_lines; an accepted active set returns its solution, with the
+    objective in QpProblem.objective's order.
+    """
+    rows, cols = range(n_con), range(dim)
+    R = [[f"r{i}_{j}" for j in range(i + 1)] for i in cols]
+    Q = [[f"q{i}_{j}" for j in cols] for i in cols]
+    c = [f"c{j}" for j in cols]
+    A = [[f"a{i}_{j}" for j in cols] for i in rows]
+    b = [f"b{i}" for i in rows]
+
+    def items(names):
+        return "".join(f"{name}, " for name in names)
+
+    def tup(names):
+        return f"({items(names)})"
+
+    def unpack(names, data):
+        return f"{items(names)}= {data}"
+
+    def accept(z, subset, lam):
+        terms = [f"{z[i]} * {Q[i][j]} * {z[j]}" for i in cols for j in cols]
+        quad = _chain("0.0", "+", terms)
+        multipliers = ["0.0"] * n_con
+        for s, l in zip(subset, lam):
+            multipliers[s] = l
+        return [
+            f"return QpSolution({tup(z)}, {subset!r}, 0.5 * ({quad}) + {_dot(c, z)},"
+            f" 'optimal', {tup(multipliers)})"
+        ]
+
+    body = []
+    if dim:
+        body += [
+            unpack(map(tup, R), "R"),
+            unpack(map(tup, Q), "Q"),
+            unpack(c, "c"),
+        ]
+        if n_con:
+            body.append(unpack(map(tup, A), "A"))
+    if n_con:
+        body.append(unpack(b, "b"))
+    body += _kernel_lines(R, c, A, b, accept, ["return QpSolution((), (), inf, 'infeasible', ())"])
     source = "def kernel(R, Q, c, A, b):\n" + "".join(f"    {line}\n" for line in body)
     namespace = {"QpSolution": QpSolution, "inf": math.inf}
     exec(source, namespace)

@@ -116,8 +116,10 @@ class TrajectoryLog:
     """Columnar per-step record plus run outcome.
 
     All lists share one length: entry i belongs to the step that started at
-    times[i] from states[i]. failed marks a runtime fault (solver or
-    integrator); a safety violation is visible in the logged values instead.
+    times[i] from states[i]. active_sets holds each step's QP active set
+    (row 0 the stability row, row 1 the safety row; empty when unsolved).
+    failed marks a runtime fault (solver or integrator); a safety violation
+    is visible in the logged values instead.
     """
 
     times: list = field(default_factory=list)
@@ -130,6 +132,7 @@ class TrajectoryLog:
     clf_residuals: list = field(default_factory=list)
     qp_statuses: list = field(default_factory=list)
     guard_event_counts: list = field(default_factory=list)
+    active_sets: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     failed: bool = False
     failure_reason: str = ""
@@ -178,19 +181,20 @@ def _rk4_sum(x, stages, h):
 
 
 def _trace_rk4(system: ControlAffineSystem, x, u, d, h):
-    """One RK4 step of system as a generated function of (*x, *u, *d, h), or
+    """One RK4 step of system as a generated function of (x, u, d, h), or
     False.
 
     The stages and their sum run once on traced floats, so the function
     repeats their float operations in the same order and raises _Deopt where
-    a recorded comparison comes out differently. They run in an empty
-    context, so that a guarded reciprocal raises instead of clamping. If
+    a recorded comparison comes out differently; x, u and d must have n, p
+    and q entries. They run in an empty context, so that a guarded
+    reciprocal raises instead of clamping. The function returns a state of
+    n finite plain floats as a checked state, and any other as a tuple. If
     anything fails, the system keeps the generic step.
     """
-    n, p = system.n, system.p
     trace = _Trace()
-    inputs = trace.inputs((*x, *u, *d, h))
-    xs, us, ds, hs = inputs[:n], inputs[n : n + p], inputs[n + p : -1], inputs[-1]
+    xs, us, ds = trace.inputs(x), trace.inputs(u), trace.inputs(d)
+    hs = trace.input(h)
 
     def rk4():
         return _rk4_sum(xs, _rk4_stages(system, xs, us, ds, hs), hs)
@@ -201,7 +205,13 @@ def _trace_rk4(system: ControlAffineSystem, x, u, d, h):
         outputs = contextvars.Context().run(rk4)
         if trace.raised:
             return False
-        return trace.function(outputs)
+        state = trace.operand(outputs)
+        checked = " and ".join(
+            f"({v}).__class__ is float and isfinite({v})" for v in map(trace.operand, outputs)
+        )
+        tail = [f"if {checked}: return _CheckedState({state})", f"return {state}"]
+        namespace = {"_CheckedState": _CheckedState, "isfinite": isfinite}
+        return trace.function(tail, namespace)
     except Exception:
         return False
 
@@ -212,34 +222,29 @@ def integrate_step(system: ControlAffineSystem, x, u, d, h: float) -> tuple:
     Raises IntegrationFault if any stage overflows or the result goes
     non-finite (runaway dynamics under a fixed step).
 
-    The first call for a system traces the step into one generated function
-    of (*x, *u, *d, h) (see _trace_rk4), cached on the system; every call
-    with n, p and q entries runs it, and the generic step wherever it
-    declines: a recorded comparison comes out differently or the function
-    raises. Both give the same state, bit for bit. A state of n finite
-    plain floats comes back as a checked state, which the next control
-    step does not convert again.
+    The first call for a system with n, p and q entries traces the step into
+    one generated function of (x, u, d, h) (see _trace_rk4), cached on the
+    system; every call runs it, and the generic step wherever it declines:
+    the inputs have other lengths, a recorded comparison comes out
+    differently or the function raises. Both give the same state, bit for
+    bit. A state of n finite plain floats comes back as a checked state,
+    which the next control step does not convert again.
     """
-    if len(x) == system.n and len(u) == system.p and len(d) == system.q:
-        step = system._rk4
-        if step is None:
-            step = _trace_rk4(system, x, u, d, h)
-            object.__setattr__(system, "_rk4", step)
-        if step:
-            try:
-                out = step((*x, *u, *d, h))
-            except Exception:
-                # _Deopt, or an error the generic step raises again itself.
-                pass
-            else:
-                for v in out:
-                    if v.__class__ is not float or not isfinite(v):
-                        break
-                else:
-                    return _CheckedState(out)
-                if not all(map(isfinite, out)):
-                    raise IntegrationFault(x, u, d)
-                return out
+    step = system._rk4
+    if step is None and len(x) == system.n and len(u) == system.p and len(d) == system.q:
+        step = _trace_rk4(system, x, u, d, h)
+        object.__setattr__(system, "_rk4", step)
+    if step:
+        try:
+            out = step(x, u, d, h)
+        except Exception:
+            # _Deopt, wrong lengths, or an error the generic step raises
+            # again itself.
+            pass
+        else:
+            if out.__class__ is not _CheckedState and not all(map(isfinite, out)):
+                raise IntegrationFault(x, u, d)
+            return out
     return _generic_integrate_step(system, x, u, d, h)
 
 
@@ -327,6 +332,7 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
         log.clf_residuals.append(result.clf_residual)
         log.qp_statuses.append(result.qp_status)
         log.guard_event_counts.append(len(result.guard_events))
+        log.active_sets.append(result.active_set)
         guard_total += len(result.guard_events)
         if result.qp_status != "optimal":
             log.failed = True

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from drcbf import cli
 from drcbf.acc import DEFAULT_SEED
 from drcbf.cli import (
     ConfigError,
@@ -275,6 +276,32 @@ class TestCsvContract:
             b"0,12.5,-0,nan,nan,0,10000000000000000,4.9406564584124654e-324,inf,nan,-inf,infeasible"
         )
         assert math.isnan(read_trajectory_csv(path)["u"][0])
+
+    def test_safety_binding_fraction_matches_the_csv_residuals(self, tmp_path, monkeypatch):
+        # The safety row binds exactly where its residual is zero: the
+        # summary's share of steps with the row in the QP's active set must
+        # be the share of CSV rows with |cbf_residual| <= 1e-9, row for row.
+        logs = []
+
+        def kept(config):
+            logs.append(run_simulation(config))
+            return logs[-1]
+
+        monkeypatch.setattr(cli, "run_simulation", kept)
+        doc = case_document(1, "drcbf", output={"plots": False})
+        execute_document(doc, out_dir=tmp_path)
+        residuals = read_trajectory_csv(tmp_path / "trajectory.csv")["cbf_residual"]
+        written = json.loads((tmp_path / "summary.json").read_text())
+        (log,) = logs
+        disagree = [
+            (i, log.times[i], log.active_sets[i], r)
+            for i, r in enumerate(residuals)
+            if (1 in log.active_sets[i]) != (abs(r) <= 1e-9)
+        ]
+        assert not disagree, f"rows (index, t, active set, cbf_residual) that disagree: {disagree}"
+        binding = sum(abs(r) <= 1e-9 for r in residuals)
+        assert 0 < binding < len(residuals) == 30000
+        assert written["safety_binding_fraction"] == binding / len(residuals)
 
     def test_summary_min_distance_matches_the_csv_column(self, tmp_path):
         code, summary = execute_document(pushed_doc(), out_dir=tmp_path)

@@ -3,15 +3,18 @@
 import math
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+from drcbf import controller
 from drcbf.adaptive import build_adrcbf_chain
 from drcbf.controller import (
     ClfSpec,
     ControllerError,
     ControllerSpec,
+    ControlStepResult,
     _generic_control_step,
     clf_constraint,
     control_step,
@@ -21,6 +24,7 @@ from drcbf.fields import ControlAffineSystem, as_state, clamped_guards, field_fr
 from drcbf.poles import coefficients_from_poles
 from drcbf.qp import QpProblem, solve_qp
 from drcbf.robust import (
+    AffineControlConstraint,
     BarrierConstructionError,
     DegenerateConstraintError,
     build_drcbf_chain,
@@ -434,7 +438,62 @@ class TestCompiledStep:
         x = (-9432.692697729579, 4384.395456534807, -9680.165409528561)
         result = assert_same_as_generic(spec, x)
         assert result.qp_status == "infeasible"
+        assert result.active_set == ()
         assert compiled(spec, x) == result
+
+    @pytest.mark.parametrize(
+        "x, active_set",
+        [((4.0, 3.0), ()), ((10.0, 2.0), (0,)), ((-5.0, 3.0), (1,)), ((-5.0, 2.0), (0, 1))],
+    )
+    def test_each_accepted_active_set(self, x, active_set, monkeypatch):
+        # At x1 = 3 the stability row reads -slack <= 0, which the tracking
+        # optimum u = 0 meets; the safety row u <= 3(5 - x1) + 2(x0 - 1)
+        # cuts it off where x0 is low.
+        spec = hand_built_spec(plant_with_input_gain(lambda x: 1.0))
+        solutions = []
+
+        def recorded(problem):
+            solutions.append(solve_qp(problem))
+            return solutions[-1]
+
+        monkeypatch.setattr(controller, "solve_qp", recorded)
+        result = assert_same_as_generic(spec, x)
+        assert compiled(spec, x) == result
+        assert result.active_set == solutions[-1].active_set == active_set
+        assert hash(result) == hash(_generic_control_step(spec, x, 0.0))
+        assert type(result) is ControlStepResult
+        assert type(result.cbf_constraint) is AffineControlConstraint
+        with pytest.raises(FrozenInstanceError):
+            result.u = ()
+        with pytest.raises(FrozenInstanceError):
+            result.cbf_constraint.offset = 0.0
+
+    def test_a_compiled_step_builds_two_objects_and_runs_no_init(self):
+        # The result and its safety constraint are the only objects a step
+        # makes, neither through its dataclass __init__, and no QpSolution:
+        # the profile sees no Python call but the step and the two builds.
+        spec = drcbf_spec()
+        x = (10.7, 35.0)
+        assert control_step(spec, x, 0.0).active_set == (1,)
+        xs = as_state(x, 2)
+        python_calls, c_calls = [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                python_calls.append(frame.f_code.co_name)
+            elif event == "c_call":
+                c_calls.append(arg.__qualname__)
+
+        sys.setprofile(profile)
+        try:
+            result = spec._step(xs)
+        finally:
+            sys.setprofile(None)
+        assert python_calls == ["traced", "_frozen", "_frozen"]
+        assert c_calls.count("object.__new__") == 2
+        assert type(result) is ControlStepResult
+        assert type(result.cbf_constraint) is AffineControlConstraint
+        assert result == _generic_control_step(spec, x, 0.0)
 
 
 def triple_integrator_spec(mode):

@@ -1,5 +1,7 @@
 """Jet-evaluable scalar fields, Lie derivatives, and relative-degree checks."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from drcbf.fields import (
     DimensionMismatchError,
     FieldError,
     ReciprocalGuardError,
+    _Deopt,
+    _Trace,
     as_state,
     clamped_guards,
     constant_field,
@@ -303,3 +307,25 @@ def make_system_with_degrees(ird_m, drd_r):
         ird_m=ird_m,
         drd_r=drd_r,
     )
+
+
+class TestTrace:
+    def test_constants_keep_their_values(self):
+        # Finite constants are written as literals, -0.0 with its sign, and
+        # inf and nan by name: every result matches the evaluation on floats.
+        constants = (-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 7)
+
+        def evaluate(x):
+            results = []
+            for k in constants:
+                results += [x + k, k - x, x * k, k / x, k * x - k]
+            return tuple(results), constants, x < 1e16
+
+        trace = _Trace()
+        traced = evaluate(trace.input(2.5))[:2]
+        function = trace.function([f"return {trace.operand(traced)}"])
+        for x in (2.5, -3.0, 1e-300, 1e15):
+            assert repr(function(x)) == repr(evaluate(x)[:2])
+        # The recorded comparison with the literal 1e16 flips past it.
+        with pytest.raises(_Deopt):
+            function(1e300)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drcbf import controller, qp
+from drcbf import controller, simulate
 from drcbf.acc import build_study
 from drcbf.qp import QpProblem, QpSolution, QpValidationError, solve_qp
 from drcbf.simulate import run_simulation
@@ -224,28 +224,30 @@ class TestGeneratedKernel:
     def test_every_qp_of_a_study_run(self, mode, monkeypatch):
         # 7 s of case 3 pass through the sets (0,), () and, once settled
         # (from ~5.9 s), the binding (0, 1) with its refinement step. The
-        # compiled control step calls its kernel directly, so the kernel
-        # lookup is patched before the spec takes its first step.
+        # compiled control step runs the enumeration inline, so every step
+        # is also taken by the generic step, whose QP is checked against the
+        # reference, and the two results must agree.
         active = set()
 
-        def checked_kernel(n_con, dim):
-            kernel = qp._kernel(n_con, dim)
+        def checked_solve(problem):
+            solution = assert_same_as_reference(problem)
+            active.add(solution.active_set)
+            return solution
 
-            def checked(R, Q, c, A, b):
-                solution = kernel(R, Q, c, A, b)
-                expected = assert_same_as_reference(QpProblem(Q=Q, c=c, A=A, b=b))
-                assert solution == expected
-                assert repr(solution) == repr(expected)
-                active.add(solution.active_set)
-                return solution
+        def checked_step(spec, x, t):
+            result = controller.control_step(spec, x, t)
+            expected = controller._generic_control_step(spec, x, t)
+            assert result == expected
+            assert repr(result) == repr(expected)
+            return result
 
-            return checked
-
-        monkeypatch.setattr(controller, "_kernel", checked_kernel)
+        monkeypatch.setattr(controller, "solve_qp", checked_solve)
+        monkeypatch.setattr(simulate, "control_step", checked_step)
         log = run_simulation(build_study(mode, case=3, horizon=7.0, verify=False))
         assert not log.failed
         assert len(log) == 7000
         assert active == {(), (0,), (0, 1)}
+        assert set(log.active_sets) == active
 
     def test_nearly_parallel_rows_above_the_rank_tolerance(self):
         # The rows differ by 1e-6 in angle: the relative LDL' pivot of the

@@ -321,7 +321,7 @@ def served(system, x, u, d, h):
     if not system._rk4 or (len(x), len(u), len(d)) != (system.n, system.p, system.q):
         return False
     try:
-        system._rk4((*x, *u, *d, h))
+        system._rk4(x, u, d, h)
     except Exception:
         return False
     return True

@@ -63,7 +63,6 @@ from .disturbances import (
     SignalSpec,
     Sinusoid,
     UniformNoise,
-    derivative,
     evaluate,
     nominal_bound,
     realize,

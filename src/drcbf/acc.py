@@ -466,6 +466,8 @@ def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:
     oscillation driven by the disturbance still counts as settled; a window
     that straddles the transient does not. safety_binding_fraction is the
     share of steps whose QP active set holds the safety row (row 1).
+    slack_max and slack_mean describe the stability row's slack over the
+    steps whose QP was solved (None if none was).
     """
     if not log.times:
         return {
@@ -494,6 +496,7 @@ def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:
         gap_drift = speed_drift = 0.0
     min_phi = min(min(row) for row in log.phi)
     applied = [u[0] for u in log.controls if u]
+    slacks = [s for s, status in zip(log.slacks, log.qp_statuses) if status == "optimal"]
     return {
         "records": len(log.times),
         "failed": log.failed,
@@ -511,4 +514,6 @@ def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:
         "guard_event_total": sum(log.guard_event_counts),
         "safety_binding_fraction": sum(1 in s for s in log.active_sets) / len(log.times),
         "mean_control": sum(applied) / len(applied) if applied else None,
+        "slack_max": max(slacks) if slacks else None,
+        "slack_mean": sum(slacks) / len(slacks) if slacks else None,
     }

@@ -26,7 +26,6 @@ __all__ = [
     "SignalRealization",
     "realize",
     "evaluate",
-    "derivative",
     "nominal_bound",
     "term_bound",
 ]
@@ -153,6 +152,9 @@ class SignalRealization:
     draws mirrors the spec's channel/term layout: draws[ci][ti] is a tuple of
     held values for a noise term and None for deterministic terms. It is an
     ordinary constructor argument so tests can force specific held values.
+
+    The first evaluate compiles the realization into one generated function
+    of t (see _compile_lookup), cached on the object.
     """
 
     spec: SignalSpec
@@ -171,6 +173,11 @@ class SignalRealization:
             for term, values in zip(terms, drawn):
                 if isinstance(term, UniformNoise) and not values:
                     raise DisturbanceError("noise term realized with no draws")
+        object.__setattr__(self, "_lookup", None)
+
+    def __getstate__(self):
+        # A generated function does not pickle; the copy compiles its own.
+        return {**self.__dict__, "_lookup": None}
 
     def value(self, t: float) -> tuple:
         return evaluate(self, t)
@@ -207,51 +214,64 @@ def realize(spec: SignalSpec, horizon: float) -> SignalRealization:
     return SignalRealization(spec=spec, horizon=h, draws=tuple(draws))
 
 
-def _noise_index(t: float, hold: float, n: int) -> int:
-    idx = math.floor(t / hold + _BOUNDARY_NUDGE)
-    return min(n - 1, int(idx))
+def _compile_lookup(realization: SignalRealization):
+    """evaluate for realization as one generated straight-line function of t.
 
-
-def _term_value(term, drawn, t: float) -> float:
-    if isinstance(term, Constant):
-        return term.value
-    if isinstance(term, Sinusoid):
-        angle = term.angular_frequency * t + term.phase
-        base = math.sin(angle) if term.kind == "sin" else math.cos(angle)
-        return term.amplitude * base
-    return drawn[_noise_index(t, term.hold_interval, len(drawn))]
+    It repeats the generic sum in its float order: per channel 0.0 plus each
+    term in turn, a constant as its literal, a sinusoid as
+    amplitude * sin(angular_frequency * t + phase) (or cos), a noise term as
+    its draws tuple (bound as a global, not copied) at the held index. The
+    horizon check and its message are the same.
+    """
+    horizon = realization.horizon
+    namespace = {
+        "sin": math.sin,
+        "cos": math.cos,
+        "floor": math.floor,
+        "DisturbanceError": DisturbanceError,
+        "LIMIT": horizon * (1.0 + _BOUNDARY_NUDGE),
+        "OUTSIDE": f" is outside the realized horizon [0, {horizon}]",
+    }
+    channels = []
+    for ci, (terms, drawn) in enumerate(zip(realization.spec.channels, realization.draws)):
+        value = "0.0"
+        for ti, (term, values) in enumerate(zip(terms, drawn)):
+            if isinstance(term, Constant):
+                value += f" + {term.value!r}"
+            elif isinstance(term, Sinusoid):
+                value += (
+                    f" + {term.amplitude!r} * {term.kind}"
+                    f"({term.angular_frequency!r} * tt + {term.phase!r})"
+                )
+            else:
+                name = f"W{ci}_{ti}"
+                namespace[name] = values
+                value += (
+                    f" + {name}[min({len(values) - 1},"
+                    f" floor(tt / {term.hold_interval!r} + {_BOUNDARY_NUDGE!r}))]"
+                )
+        channels.append(value)
+    source = "\n    ".join([
+        "def lookup(t):",
+        "tt = float(t)",
+        "if tt < 0.0 or tt > LIMIT:",
+        "    raise DisturbanceError(f'time {tt}' + OUTSIDE)",
+        f"return ({''.join(f'{v}, ' for v in channels)})",
+    ])
+    exec(source, namespace)
+    # Popped, so that the function and its globals form no reference cycle:
+    # the draws go with the realization, not at the next garbage collection.
+    return namespace.pop("lookup")
 
 
 def evaluate(realization: SignalRealization, t: float) -> tuple:
-    """Signal vector at time t in [0, horizon]; t == horizon reuses the last hold."""
-    tt = float(t)
-    if tt < 0.0 or tt > realization.horizon * (1.0 + _BOUNDARY_NUDGE):
-        raise DisturbanceError(
-            f"time {tt} is outside the realized horizon [0, {realization.horizon}]"
-        )
-    out = []
-    for terms, drawn in zip(realization.spec.channels, realization.draws):
-        value = 0.0
-        for term, values in zip(terms, drawn):
-            value += _term_value(term, values, tt)
-        out.append(value)
-    return tuple(out)
+    """Signal vector at time t in [0, horizon]; t == horizon reuses the last hold.
 
-
-def derivative(realization: SignalRealization, t: float) -> tuple:
-    """Time derivative of the signal vector; defined only for noise-free specs."""
-    if realization.spec.has_noise:
-        raise DisturbanceError(
-            "held noise is piecewise constant, so the signal has no derivative"
-        )
-    tt = float(t)
-    out = []
-    for terms in realization.spec.channels:
-        value = 0.0
-        for term in terms:
-            if isinstance(term, Sinusoid):
-                angle = term.angular_frequency * tt + term.phase
-                base = math.cos(angle) if term.kind == "sin" else -math.sin(angle)
-                value += term.amplitude * term.angular_frequency * base
-        out.append(value)
-    return tuple(out)
+    Raises DisturbanceError outside the horizon. The first call compiles the
+    realization (see _compile_lookup); every call runs that function.
+    """
+    lookup = realization._lookup
+    if lookup is None:
+        lookup = _compile_lookup(realization)
+        object.__setattr__(realization, "_lookup", lookup)
+    return lookup(t)

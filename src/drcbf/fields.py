@@ -276,6 +276,9 @@ class _Trace:
         # Set when an operation raised: the evaluation may have caught it and
         # branched on it, which the recorded lines would not show.
         self.raised = False
+        # The traced float of each right-hand side recorded so far. Every
+        # name is assigned once, so a repeated right-hand side has that value.
+        self.assigned = {}
 
     def input(self, value):
         """A traced float holding value: the next argument of function()."""
@@ -312,9 +315,12 @@ class _Trace:
         raise TypeError(f"cannot trace an operand of type {type(x).__name__}")
 
     def assign(self, expression, value):
-        name = f"t{len(self.lines)}"
-        self.lines.append(f"{name} = {expression}")
-        return _Traced(self, name, value)
+        traced = self.assigned.get(expression)
+        if traced is None:
+            traced = _Traced(self, f"t{len(self.lines)}", value)
+            self.lines.append(f"{traced.name} = {expression}")
+            self.assigned[expression] = traced
+        return traced
 
     def function(self, tail, namespace=(), declines=False):
         """Compile the recorded lines, then the lines tail, into one function.
@@ -362,6 +368,11 @@ class _Traced:
             value = other.value
         elif other.__class__ is float or other.__class__ is int:
             value = other
+            # x * 1.0 is x, bit for bit, when x is a float (not for an int,
+            # whose product is a float).
+            if (symbol == "*" and value == 1.0 and value.__class__ is float
+                    and self.value.__class__ is float):
+                return self
         else:
             return NotImplemented
         a, b = self._operands(other, swapped)

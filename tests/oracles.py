@@ -8,10 +8,12 @@ solved by bisection instead of a closed-loop simulation, and a cascade
 derived by hand instead of by nested jets (the triple integrator, the one
 plant here of input relative degree 3).
 
-The one exception is reference_solve_qp: the QP solver's enumeration in its
-generic form (loops over every active set, an LDL' helper per subset). The
-library generates one straight-line kernel per problem shape, and each must
-return exactly what this loop returns, bit for bit.
+The two exceptions are reference_solve_qp and reference_evaluate: the QP
+solver's enumeration and the disturbance lookup in their generic forms (loops
+over every active set with an LDL' helper per subset; loops over channels and
+terms with a dispatch on each term's type). The library generates one
+straight-line kernel per problem shape and one lookup per realization, and
+each must return exactly what its loop returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from operator import mul
 
 import numpy as np
 
+from drcbf.disturbances import (
+    _BOUNDARY_NUDGE,
+    Constant,
+    DisturbanceError,
+    Sinusoid,
+)
 from drcbf.fields import ControlAffineSystem, field_from_callable
 from drcbf.qp import (
     FEASIBILITY_TOL,
@@ -483,6 +491,31 @@ def reference_solve_qp(problem):
     return QpSolution(
         z=(), active_set=(), objective=math.inf, status="infeasible", multipliers=()
     )
+
+
+def reference_evaluate(realization, t):
+    """The disturbance signal vector at t, summed term by term: per channel
+    0.0 plus each term's value in turn, after the same horizon check."""
+    tt = float(t)
+    if tt < 0.0 or tt > realization.horizon * (1.0 + _BOUNDARY_NUDGE):
+        raise DisturbanceError(
+            f"time {tt} is outside the realized horizon [0, {realization.horizon}]"
+        )
+    out = []
+    for terms, drawn in zip(realization.spec.channels, realization.draws):
+        value = 0.0
+        for term, values in zip(terms, drawn):
+            if isinstance(term, Constant):
+                value += term.value
+            elif isinstance(term, Sinusoid):
+                angle = term.angular_frequency * tt + term.phase
+                base = math.sin(angle) if term.kind == "sin" else math.cos(angle)
+                value += term.amplitude * base
+            else:
+                index = math.floor(tt / term.hold_interval + _BOUNDARY_NUDGE)
+                value += values[min(len(values) - 1, int(index))]
+        out.append(value)
+    return tuple(out)
 
 
 def triple_integrator():

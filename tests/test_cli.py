@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from drcbf import cli
-from drcbf.acc import DEFAULT_SEED
+from drcbf.acc import DEFAULT_SEED, AccParameters, summarize_log
 from drcbf.cli import (
     ConfigError,
     case_document,
@@ -302,6 +302,32 @@ class TestCsvContract:
         binding = sum(abs(r) <= 1e-9 for r in residuals)
         assert 0 < binding < len(residuals) == 30000
         assert written["safety_binding_fraction"] == binding / len(residuals)
+
+    def test_slack_figures_match_the_csv_slack_column(self, tmp_path):
+        # The CSV writes every slack with 17 significant digits, so the
+        # column reads back exactly; every step of this run is solved.
+        doc = case_document(1, "drcbf", output={"plots": False})
+        execute_document(doc, out_dir=tmp_path)
+        cols = read_trajectory_csv(tmp_path / "trajectory.csv")
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert set(cols["qp_status"]) == {"optimal"}
+        slacks = cols["slack"]
+        assert len(slacks) == 30000 and max(slacks) > 0.0
+        assert written["slack_max"] == max(slacks)
+        assert written["slack_mean"] == sum(slacks) / len(slacks)
+
+    def test_slack_figures_skip_unsolved_steps(self):
+        log = TrajectoryLog(
+            times=[0.0, 1e-3], states=[(50.0, 20.0)] * 2, controls=[(1.0,), ()],
+            slacks=[0.5, math.nan], phi=[(1.0, 1.0)] * 2,
+            qp_statuses=["optimal", "infeasible"], active_sets=[(0,), ()],
+            guard_event_counts=[0, 0], final_state=(50.0, 20.0), failed=True,
+        )
+        summary = summarize_log(log, AccParameters())
+        assert summary["slack_max"] == summary["slack_mean"] == 0.5
+        log.qp_statuses[0] = "infeasible"
+        summary = summarize_log(log, AccParameters())
+        assert summary["slack_max"] is None and summary["slack_mean"] is None
 
     def test_summary_min_distance_matches_the_csv_column(self, tmp_path):
         code, summary = execute_document(pushed_doc(), out_dir=tmp_path)

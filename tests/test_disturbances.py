@@ -1,6 +1,10 @@
-"""Seeded disturbance signals: bounds, replay, hold indexing, derivatives."""
+"""Seeded disturbance signals: bounds, replay, hold indexing, and the compiled
+lookup against the generic sum."""
 
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -14,13 +18,13 @@ from drcbf.disturbances import (
     SignalSpec,
     Sinusoid,
     UniformNoise,
-    derivative,
     evaluate,
     nominal_bound,
     realize,
     term_bound,
 )
 from drcbf.acc import case_disturbance_spec
+from oracles import reference_evaluate
 
 
 class TestTermValidation:
@@ -209,27 +213,158 @@ class TestEvaluate:
             evaluate(realization, -0.001)
 
 
-class TestDerivative:
-    def test_analytic_derivative_matches_finite_difference(self):
+def same_as_reference(realization, t):
+    """evaluate(realization, t), checked against the generic sum: the same
+    tuple by repr (signed zeros, nan and classes included), or the same
+    exception with the same message."""
+    try:
+        expected = reference_evaluate(realization, t)
+    except Exception as exc:
+        with pytest.raises(Exception) as err:
+            evaluate(realization, t)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return None
+    got = evaluate(realization, t)
+    assert repr(got) == repr(expected), t
+    return got
+
+
+def forced(spec, horizon, value):
+    """A realization of spec whose every held draw is value."""
+    base = realize(spec, horizon)
+    draws = tuple(
+        tuple(None if d is None else (value,) * len(d) for d in channel)
+        for channel in base.draws
+    )
+    return SignalRealization(spec=spec, horizon=horizon, draws=draws)
+
+
+finite = st.floats(min_value=-50.0, max_value=50.0)
+terms = st.one_of(
+    st.builds(Constant, finite),
+    st.builds(Sinusoid, finite, finite, finite, st.sampled_from(("sin", "cos"))),
+    st.builds(
+        lambda low, width, hold: UniformNoise(low, low + width, hold),
+        finite,
+        st.floats(min_value=0.0, max_value=20.0),
+        st.floats(min_value=1e-3, max_value=2.0),
+    ),
+)
+
+
+class TestCompiledLookup:
+    """The first evaluate compiles a realization into one function; it must
+    return exactly what the generic term-by-term sum returns."""
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_every_control_step_of_a_study_run(self, case):
+        realization = realize(case_disturbance_spec(case), 30.0)
+        for k in range(30001):
+            same_as_reference(realization, k * 1e-3)
+
+    @given(
+        st.lists(st.lists(terms, max_size=4), min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=1e-2, max_value=5.0),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+    )
+    def test_drawn_specs_at_drawn_times(self, channels, seed, horizon, fractions):
+        realization = realize(SignalSpec(channels=channels, seed=seed), horizon)
+        for fraction in fractions:
+            same_as_reference(realization, fraction * horizon)
+        same_as_reference(realization, horizon)
+
+    def test_signed_zeros(self):
+        # 0.0 + -0.0 is 0.0: a channel of negative zeros sums to +0.0, which
+        # the CSV writes as 0, not -0.
         spec = SignalSpec(
             channels=(
-                (Sinusoid(2.0, 5.0), Sinusoid(1.5, 10.0, kind="cos")),
-                (Constant(1.0), Sinusoid(2.0, 6.0, kind="cos")),
-            )
+                (UniformNoise(-1.0, 1.0, 0.1),),
+                (Constant(-0.0),),
+                (Constant(-0.0), UniformNoise(-1.0, 1.0, 0.1), Sinusoid(-1.0, 3.0)),
+                (Sinusoid(-1.0, 3.0),),
+            ),
+            seed=4,
         )
-        realization = realize(spec, 10.0)
-        eps = 1e-6
-        for t in (0.1, 1.7, 4.9):
-            exact = derivative(realization, t)
-            hi = evaluate(realization, t + eps)
-            lo = evaluate(realization, t - eps)
-            for a, (h, l) in zip(exact, zip(hi, lo)):
-                assert a == pytest.approx((h - l) / (2 * eps), rel=1e-5, abs=1e-5)
+        realization = forced(spec, 1.0, -0.0)
+        for t in (0.0, -0.0, 0.05, 1.0):
+            wave = 0.0 + -1.0 * math.sin(3.0 * t + 0.0)
+            assert repr(same_as_reference(realization, t)) == repr((0.0, 0.0, wave, wave))
 
-    def test_noisy_signal_has_no_derivative(self):
+    @pytest.mark.parametrize("hold", [1e-3, 0.1, 0.3, 1.0 / 3.0])
+    def test_one_ulp_around_every_hold_boundary(self, hold):
+        spec = SignalSpec(channels=((UniformNoise(-4.0, 4.0, hold),),), seed=11)
+        horizon = 2.0
+        realization = realize(spec, horizon)
+        for k in range(int(horizon / hold) + 2):
+            t = k * hold
+            for probe in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
+                same_as_reference(realization, probe)
+
+    def test_horizon_and_argument_types(self):
+        realization = realize(case_disturbance_spec(1), 3.0)
+        last = same_as_reference(realization, 3.0)
+        assert last == same_as_reference(realization, 3)
+        assert last == same_as_reference(realization, np.float64(3.0))
+        assert same_as_reference(realization, 0) == same_as_reference(realization, 0.0)
+        same_as_reference(realization, np.float64(1.2345))
+        same_as_reference(realization, math.nextafter(3.0 * (1.0 + 1e-9), 0.0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            case_disturbance_spec(1),
+            SignalSpec(channels=((Sinusoid(1.0, 2.0), Constant(0.5)), (Constant(1.0),))),
+            SignalSpec(channels=((), ())),
+        ],
+    )
+    def test_nan_time_matches_the_generic_sum(self, spec):
+        same_as_reference(realize(spec, 1.0), math.nan)
+
+    @pytest.mark.parametrize(
+        "t", [-1e-300, -0.5, 3.0 * (1.0 + 2e-9), 4.0, math.inf, -math.inf]
+    )
+    def test_outside_the_horizon_raises_the_same_message(self, t):
+        realization = realize(case_disturbance_spec(2), 3.0)
+        with pytest.raises(DisturbanceError, match="outside the realized horizon"):
+            evaluate(realization, t)
+        assert same_as_reference(realization, t) is None
+
+    def test_compiled_once_on_the_first_evaluate(self):
         realization = realize(case_disturbance_spec(1), 1.0)
-        with pytest.raises(DisturbanceError):
-            derivative(realization, 0.5)
+        assert realization._lookup is None
+        evaluate(realization, 0.5)
+        lookup = realization._lookup
+        assert callable(lookup)
+        evaluate(realization, 0.25)
+        assert realization._lookup is lookup
+
+    def test_draws_are_shared_not_copied(self):
+        realization = realize(case_disturbance_spec(1), 1.0)
+        evaluate(realization, 0.5)
+        held = realization._lookup.__globals__
+        assert any(v is realization.draws[0][0] for v in held.values())
+        assert any(v is realization.draws[1][0] for v in held.values())
+
+    def test_the_lookup_is_freed_with_its_realization(self):
+        # No reference cycle: a run's draws are freed when its realization
+        # is, without waiting for the garbage collector.
+        realization = realize(case_disturbance_spec(1), 1.0)
+        evaluate(realization, 0.5)
+        lookup = weakref.ref(realization._lookup)
+        gc.disable()
+        try:
+            del realization
+            assert lookup() is None
+        finally:
+            gc.enable()
+
+    def test_a_compiled_realization_pickles(self):
+        realization = realize(case_disturbance_spec(1), 1.0)
+        value = evaluate(realization, 0.5)
+        copy = pickle.loads(pickle.dumps(realization))
+        assert copy == realization and copy._lookup is None
+        assert evaluate(copy, 0.5) == value
 
 
 class TestSpecValidation:

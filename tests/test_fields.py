@@ -28,6 +28,10 @@ from drcbf.fields import (
     verify_relative_degree,
 )
 
+from drcbf.acc import build_study
+from drcbf.controller import control_step
+from drcbf.disturbances import evaluate as evaluate_signal
+from drcbf.simulate import integrate_step
 from oracles import fd_gradient
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -329,3 +333,48 @@ class TestTrace:
         # The recorded comparison with the literal 1e16 flips past it.
         with pytest.raises(_Deopt):
             function(1e300)
+
+    def test_bit_neutral_operations_are_not_recorded(self):
+        # A float times 1.0 is the float itself, and a right-hand side seen
+        # before is the name it was assigned to; 0.0 + x is kept, since it
+        # turns -0.0 into 0.0.
+        def evaluate(x, n):
+            return (x * 1.0, 1.0 * x, x * 2.0, 2.0 * x, x * 2.0, 0.0 + x, n * 1.0, -x, -x)
+
+        trace = _Trace()
+        x, n = trace.input(-0.0), trace.input(3)
+        traced = evaluate(x, n)
+        assert traced[0] is traced[1] is x
+        assert traced[2] is traced[4] and traced[7] is traced[8]
+        assert traced[2] is not traced[3]
+        assert traced[5] is not x and traced[6] is not n
+        function = trace.function([f"return {trace.operand(traced)}"])
+        assert len(trace.lines) == 5
+        for args in ((-0.0, 3), (2.5, -7), (math.inf, 0)):
+            assert repr(function(*args)) == repr(evaluate(*args))
+
+
+class TestGeneratedSources:
+    """The control step and RK4 step of the case-1 study, as traced."""
+
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_no_repeated_right_hand_side_and_no_product_with_one(self, mode, monkeypatch):
+        recorded = []
+        function = _Trace.function
+
+        def spy(trace, *args, **kwargs):
+            recorded.append(list(trace.lines))
+            return function(trace, *args, **kwargs)
+
+        monkeypatch.setattr(_Trace, "function", spy)
+        config = build_study(mode, case=1, horizon=0.01, verify=False)
+        u = control_step(config.controller, config.x0, 0.0).u
+        integrate_step(config.system, config.x0, u, evaluate_signal(config.disturbance, 0.0), 1e-3)
+        assert len(recorded) == 2
+        for lines in recorded:
+            rhs = [line.split(" = ", 1)[1] for line in lines if not line.startswith("if ")]
+            assert len(rhs) > 50
+            assert len(set(rhs)) == len(rhs)
+            for expression in rhs:
+                left, symbol, right = (expression.split(" ") + ["", ""])[:3]
+                assert not (symbol == "*" and "1.0" in (left, right)), expression

@@ -489,6 +489,7 @@ def execute_document(doc: dict, out_dir=None) -> tuple:
     summary = dict(meta)
     summary.update(summarize_log(log, params))
     summary["wall_clock_seconds"] = elapsed
+    summary["fallback_steps"] = log.metadata["fallback_steps"]
     summary["final_time"] = log.final_time
     summary["min_distance_required"] = params.min_distance
 

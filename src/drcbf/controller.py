@@ -202,24 +202,64 @@ def _compile_step(spec: ControllerSpec, xs):
     """control_step for spec as one generated function of a checked state,
     or False.
 
-    The step's float work before the QP (the safety row, the stability row
-    and objective_f) runs once at xs on traced floats, in an empty context
-    so that guarded reciprocals raise instead of clamping. The function
-    repeats it, checks its outputs as the generic step's layers do, runs the
-    QP's active-set enumeration with the spec's factor of Q baked in (see
-    drcbf.qp._kernel_lines) and builds the result. It returns the generic
-    step's ControlStepResult, or None wherever the generic step has
-    something else to do: a comparison recorded by the trace comes out
-    differently (a guard breach), the traced assembly raises, an output is
-    non-finite or the safety row is degenerate. The caller then runs the
-    generic step. A QP that is not solved needs no fallback: without guard
-    events the generic step reports it the same way. If the trace fails,
-    the spec keeps the generic step, which then raises or clamps as the
-    evaluation itself does.
+    The step's float work before the QP is traced once at xs (see
+    _trace_assembly). The function repeats it, checks its outputs as the
+    generic step's layers do, runs the QP's active-set enumeration with the
+    spec's factor of Q baked in (see _step_lines) and builds the result. It
+    returns the generic step's ControlStepResult, or None wherever the
+    generic step has something else to do: a comparison recorded by the
+    trace comes out differently (a guard breach), the traced assembly
+    raises, an output is non-finite or the safety row is degenerate. The
+    caller then runs the generic step. A QP that is not solved needs no
+    fallback: without guard events the generic step reports it the same
+    way. If the trace fails, the spec keeps the generic step, which then
+    raises or clamps as the evaluation itself does.
+    """
+    trace = _Trace()
+    # The generic step reproduces whatever went wrong, so any exception only
+    # means that this spec is not traced.
+    try:
+        outputs = _trace_assembly(spec, trace, trace.inputs(xs))
+        if not outputs:
+            return False
+        row, offset, clf_row, clf_offset, c, phi = outputs
+        op = trace.operand
+        p = len(row)
+
+        def result(u, slack, status, cbf_residual, clf_residual, active_set):
+            return (
+                f"return _frozen(ControlStepResult, {{'u': {u}, 'slack': {slack},"
+                f" 'qp_status': {status}, 'cbf_residual': {cbf_residual},"
+                f" 'clf_residual': {clf_residual}, 'phi': {op(phi)}, 'guard_events': (),"
+                f" 'cbf_constraint': _frozen(AffineControlConstraint,"
+                f" {{'row': {op(row)}, 'offset': {op(offset)}, 'sense': '>='}}),"
+                f" 'clf_row': {op(clf_row)}, 'clf_offset': {op(clf_offset)},"
+                f" 'active_set': {active_set}}})"
+            )
+
+        def accept(z, subset, lam):
+            return [result(f"({''.join(f'{x}, ' for x in z[:p])})", z[p], "'optimal'",
+                           *_residuals(trace, outputs, z), repr(subset))]
+
+        reject = [result("()", "nan", "'infeasible'", "nan", "nan", "()")]
+        lines = _step_lines(spec, trace, outputs, "return None", accept, reject)
+        return trace.function(lines, _STEP_NAMESPACE, declines=True)
+    except Exception:
+        return False
+
+
+def _trace_assembly(spec: ControllerSpec, trace, xs):
+    """Runs the step's float work before the QP (the safety row, the
+    stability row and objective_f) once on xs, traced floats of trace, in an
+    empty context so that guarded reciprocals raise instead of clamping.
+
+    Returns the step's (safety row, its offset, stability row, its offset,
+    c, phi), or None if the trace cannot stand for the generic step: an
+    operation raised, or the rows and c have the wrong lengths. Raises
+    whatever the evaluation raises.
     """
     system = spec.system
-    trace = _Trace()
-    inputs = _CheckedState(trace.inputs(xs))
+    inputs = _CheckedState(xs)
 
     def as_float(value):
         # The generic step converts the rows, offsets and c with float().
@@ -240,18 +280,11 @@ def _compile_step(spec: ControllerSpec, xs):
             ev.phi,
         )
 
-    # The generic step reproduces whatever went wrong, so any exception only
-    # means that this spec is not traced.
-    try:
-        R = _inverse_cholesky_factor(spec._qp_quadratic)
-        outputs = contextvars.Context().run(assemble)
-        row, _, clf_row, _, c, _ = outputs
-        if trace.raised or not len(row) + 1 == len(clf_row) == len(c) == system.p + 1:
-            return False
-        tail = _step_tail(trace, R, *outputs)
-        return trace.function(tail, _STEP_NAMESPACE, declines=True)
-    except Exception:
-        return False
+    outputs = contextvars.Context().run(assemble)
+    row, _, clf_row, _, c, _ = outputs
+    if trace.raised or not len(row) + 1 == len(clf_row) == len(c) == system.p + 1:
+        return None
+    return outputs
 
 
 _STEP_NAMESPACE = {
@@ -264,48 +297,27 @@ _STEP_NAMESPACE = {
 }
 
 
-def _step_tail(trace, R, row, offset, clf_row, clf_offset, c, phi):
-    """The compiled step's lines after the traced assembly: the generic
-    step's output checks, the QP with the factor R of its quadratic and the
-    result."""
+def _step_lines(spec, trace, outputs, decline, accept, reject, condition="True"):
+    """The lines of a traced step after its assembly (see _trace_assembly):
+    the generic step's output checks, which run the line decline where they
+    fail, then the QP with the spec's factor of its quadratic baked in, from
+    qp._kernel_lines with accept, reject and condition. They need sqrt and
+    isfinite as globals. On traced values the safety row's negation is
+    recorded, so the trace's lines must be taken after this call.
+    """
+    row, offset, clf_row, clf_offset, c, _ = outputs
+    R = _inverse_cholesky_factor(spec._qp_quadratic)
     op = trace.operand
-    p = len(row)
     checked = [v for v in (offset, clf_offset, *row, *clf_row, *c)
                if v.__class__ is _Traced or not isfinite(v)]
     lines = [
         f"if not (sqrt({_sum([f'{op(v)} * {op(v)}' for v in row])}) >= {BETA_DEGENERACY_TOL!r}"
         + "".join(f" and isfinite({op(v)})" for v in checked)
-        + "): return None"
+        + f"): {decline}"
     ]
-    # Both rows normalized to <= sense: the safety row flips sign. On traced
-    # values the negation is one more recorded line.
+    # Both rows normalized to <= sense: the safety row flips sign.
     A = (clf_row, (*map(neg, row), 0.0))
     b = (clf_offset, -offset)
-
-    def result(u, slack, status, cbf_residual, clf_residual, active_set):
-        return (
-            f"return _frozen(ControlStepResult, {{'u': {u}, 'slack': {slack},"
-            f" 'qp_status': {status}, 'cbf_residual': {cbf_residual},"
-            f" 'clf_residual': {clf_residual}, 'phi': {op(phi)}, 'guard_events': (),"
-            f" 'cbf_constraint': _frozen(AffineControlConstraint,"
-            f" {{'row': {op(row)}, 'offset': {op(offset)}, 'sense': '>='}}),"
-            f" 'clf_row': {op(clf_row)}, 'clf_offset': {op(clf_offset)},"
-            f" 'active_set': {active_set}}})"
-        )
-
-    def accept(z, subset, lam):
-        # The residuals in robust._dot's order: left to right from the first
-        # product.
-        u = z[:p]
-        cbf_dot = " + ".join(f"{op(r)} * {x}" for r, x in zip(row, u))
-        clf_dot = " + ".join(f"{op(r)} * {x}" for r, x in zip(clf_row, u))
-        return [
-            result(f"({''.join(f'{x}, ' for x in u)})", z[p], "'optimal'",
-                   f"{cbf_dot} - {op(offset)}", f"{op(clf_offset)} - ({clf_dot} - {z[p]})",
-                   repr(subset))
-        ]
-
-    reject = [result("()", "nan", "'infeasible'", "nan", "nan", "()")]
     lines += _kernel_lines(
         [list(map(op, r)) for r in R],
         list(map(op, c)),
@@ -313,8 +325,21 @@ def _step_tail(trace, R, row, offset, clf_row, clf_offset, c, phi):
         list(map(op, b)),
         accept,
         reject,
+        condition,
     )
     return lines
+
+
+def _residuals(trace, outputs, z):
+    """Sources of the safety and stability residuals at the locals z of an
+    accepted QP solution, in _step_result's order (robust._dot's: left to
+    right from the first product)."""
+    row, offset, clf_row, clf_offset, _, _ = outputs
+    op = trace.operand
+    p = len(row)
+    cbf_dot = " + ".join(f"{op(r)} * {x}" for r, x in zip(row, z))
+    clf_dot = " + ".join(f"{op(r)} * {x}" for r, x in zip(clf_row, z[:p]))
+    return f"{cbf_dot} - {op(offset)}", f"{op(clf_offset)} - ({clf_dot} - {z[p]})"
 
 
 def control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:

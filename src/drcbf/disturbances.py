@@ -214,24 +214,17 @@ def realize(spec: SignalSpec, horizon: float) -> SignalRealization:
     return SignalRealization(spec=spec, horizon=h, draws=tuple(draws))
 
 
-def _compile_lookup(realization: SignalRealization):
-    """evaluate for realization as one generated straight-line function of t.
+def _lookup_channels(realization: SignalRealization, t: str, namespace: dict) -> list:
+    """Source of evaluate for realization at the float named t, without its
+    horizon check: one expression per channel. The globals the expressions
+    read go into namespace.
 
-    It repeats the generic sum in its float order: per channel 0.0 plus each
-    term in turn, a constant as its literal, a sinusoid as
+    Each expression repeats the generic sum in its float order: 0.0 plus
+    each term in turn, a constant as its literal, a sinusoid as
     amplitude * sin(angular_frequency * t + phase) (or cos), a noise term as
-    its draws tuple (bound as a global, not copied) at the held index. The
-    horizon check and its message are the same.
+    its draws tuple (bound as a global, not copied) at the held index.
     """
-    horizon = realization.horizon
-    namespace = {
-        "sin": math.sin,
-        "cos": math.cos,
-        "floor": math.floor,
-        "DisturbanceError": DisturbanceError,
-        "LIMIT": horizon * (1.0 + _BOUNDARY_NUDGE),
-        "OUTSIDE": f" is outside the realized horizon [0, {horizon}]",
-    }
+    namespace.update(sin=math.sin, cos=math.cos, floor=math.floor)
     channels = []
     for ci, (terms, drawn) in enumerate(zip(realization.spec.channels, realization.draws)):
         value = "0.0"
@@ -241,16 +234,34 @@ def _compile_lookup(realization: SignalRealization):
             elif isinstance(term, Sinusoid):
                 value += (
                     f" + {term.amplitude!r} * {term.kind}"
-                    f"({term.angular_frequency!r} * tt + {term.phase!r})"
+                    f"({term.angular_frequency!r} * {t} + {term.phase!r})"
                 )
             else:
                 name = f"W{ci}_{ti}"
                 namespace[name] = values
                 value += (
                     f" + {name}[min({len(values) - 1},"
-                    f" floor(tt / {term.hold_interval!r} + {_BOUNDARY_NUDGE!r}))]"
+                    f" floor({t} / {term.hold_interval!r} + {_BOUNDARY_NUDGE!r}))]"
                 )
         channels.append(value)
+    return channels
+
+
+def _horizon_limit(realization: SignalRealization) -> float:
+    """The largest time evaluate accepts."""
+    return realization.horizon * (1.0 + _BOUNDARY_NUDGE)
+
+
+def _compile_lookup(realization: SignalRealization):
+    """evaluate for realization as one generated straight-line function of t:
+    the horizon check with its message, then the channels of _lookup_channels.
+    """
+    namespace = {
+        "DisturbanceError": DisturbanceError,
+        "LIMIT": _horizon_limit(realization),
+        "OUTSIDE": f" is outside the realized horizon [0, {realization.horizon}]",
+    }
+    channels = _lookup_channels(realization, "tt", namespace)
     source = "\n    ".join([
         "def lookup(t):",
         "tt = float(t)",

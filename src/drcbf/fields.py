@@ -11,8 +11,8 @@ pure, so concurrent evaluation from multiple workers is safe.
 
 _Trace and _Traced record the float operations of one evaluation as a
 generated function; the controller traces its whole control step with them
-(see drcbf.controller), and the simulator one RK4 step of a system (see
-drcbf.simulate).
+(see drcbf.controller), and the simulator one RK4 step of a system and each
+run's whole loop (see drcbf.simulate).
 """
 
 from __future__ import annotations
@@ -296,6 +296,11 @@ class _Trace:
         self.arguments.append((f"a{len(self.arguments)}", names))
         return tuple(_Traced(self, name, v) for name, v in zip(names, values))
 
+    def local(self, name, value):
+        """A traced float holding value, read from the local name of the
+        generated code, which the caller assigns."""
+        return _Traced(self, name, value)
+
     def operand(self, x):
         """Source for a traced float, a constant or a nested tuple of them.
 
@@ -341,7 +346,9 @@ class _Trace:
         )
         globals_ = {"_Deopt": _Deopt, **self.constants, **dict(namespace)}
         exec(source, globals_)
-        return globals_["traced"]
+        # Popped, so that the function and its globals form no reference
+        # cycle: it goes with its spec or system, not at the next collection.
+        return globals_.pop("traced")
 
 
 class _Traced:

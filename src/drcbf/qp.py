@@ -213,7 +213,7 @@ def _ldl_solve_lines(m, d, rhs, out):
     return lines
 
 
-def _kernel_lines(R, c, A, b, accept, reject):
+def _kernel_lines(R, c, A, b, accept, reject, condition="True"):
     """The generic active-set enumeration's float operations in their order,
     as the lines of one generated function.
 
@@ -226,7 +226,10 @@ def _kernel_lines(R, c, A, b, accept, reject):
     Each active set is a `while True` block that a failed check leaves by
     `break`; the first to pass runs the lines accept(z, subset, lam), given
     the locals of z and of the multipliers, which must return. The lines
-    reject run when none passes. The tolerances are baked in as literals.
+    reject run when none passes. With another condition than "True" the
+    accept lines may instead make it false, which skips every later active
+    set and leaves z in its locals; the lines reject then run either way.
+    The tolerances are baked in as literals.
     """
     n_con, dim = len(b), len(c)
     rows, cols = range(n_con), range(dim)
@@ -290,7 +293,7 @@ def _kernel_lines(R, c, A, b, accept, reject):
                 f"if {_dot(A[i], z)} > {b[i]} + {FEASIBILITY_TOL!r}: break" for i in rows
             ]
             block += accept(z, subset, lam)
-            body += ["while True:", *(f"    {line}" for line in block)]
+            body += [f"while {condition}:", *(f"    {line}" for line in block)]
     return body + list(reject)
 
 

@@ -11,19 +11,42 @@ A failed run (solver did not return an optimum, or the integrator produced a
 non-finite state) is reported through the log's failed flag with the partial
 trajectory intact, not as an exception, so callers can distinguish a runtime
 fault from a clean run that merely violated safety.
+
+Each run compiles its loop into one generated function (see _compile_loop):
+per step the disturbance lookup, the traced assembly and QP of the control
+step, the traced RK4 substeps and the log appends, with no call of
+evaluate, control_step or integrate_step. The first step the generated loop
+cannot take bit for bit (a guard breach, a fault, an untraceable run) goes
+through the per-step body, which calls those three once per step and
+records any fault, and the generated loop resumes after it. The log's
+metadata counts those steps as fallback_steps.
 """
 
 from __future__ import annotations
 
 import contextvars
 from dataclasses import dataclass, field
-from math import isfinite
+from math import isfinite, sqrt
+from operator import neg
 from typing import Optional
 
 from .adaptive import AdrcbfChain, interior_membership
-from .controller import ControllerSpec, control_step
-from .disturbances import SignalRealization, evaluate as evaluate_signal, realize
-from .fields import ControlAffineSystem, _CheckedState, _Trace, as_state
+from .controller import (
+    ControllerSpec,
+    _residuals,
+    _step_lines,
+    _trace_assembly,
+    control_step,
+)
+from .disturbances import (
+    SignalRealization,
+    _horizon_limit,
+    _lookup_channels,
+    evaluate as evaluate_signal,
+    realize,
+)
+from .fields import ControlAffineSystem, _CheckedState, _Deopt, _Trace, _Traced, as_state
+from .qp import QpProblem, solve_qp
 from .robust import DegenerateConstraintError, chain_membership
 
 __all__ = [
@@ -277,6 +300,140 @@ def _initial_membership(controller: ControllerSpec, x0):
             )
 
 
+def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
+    """run_simulation's loop over the control steps as one generated
+    function loop(k, x), or None if the run cannot be traced.
+
+    The first step's float work runs once at the initial state on traced
+    floats of one _Trace, in an empty context: the controller's assembly
+    (see drcbf.controller._trace_assembly), then RK4 with the control the
+    QP gives there and the disturbance at t = 0, the first substep from the
+    traced state and, with more substeps, one more from fresh locals, which
+    the loop repeats. A right-hand side that repeats an earlier one, in the
+    assembly or in RK4, is computed once. Each iteration of the loop then
+    does a whole control step: the realization's lookup (see
+    drcbf.disturbances._lookup_channels), the traced assembly with the
+    generic step's output checks, the QP's active-set enumeration (see
+    drcbf.controller._step_lines), the traced RK4 substeps, each with the
+    finiteness check, and one record appended to each of log's columns.
+
+    loop(k, x) takes steps k, k + 1, ... from state x. It returns (k, x)
+    with the step untouched where the per-step body has something else to
+    do: a comparison recorded by the trace comes out differently (a guard
+    breach), an operation raises, an output is non-finite or the safety row
+    degenerate, the QP is not solved, the state goes non-finite or the time
+    leaves the realization's horizon. After the last step it returns
+    (steps, final state).
+    """
+    system, spec, realization = config.system, config.controller, config.disturbance
+    substeps = config.integrator_substeps
+    h = config.control_period / substeps
+    trace = _Trace()
+    op = trace.operand
+    xs = trace.inputs(config.x0)
+    # Besides the trace's x<i>, t<i> and K<i> and the QP's locals (see
+    # drcbf.qp._kernel_lines), the loop's locals are k, t, x, active,
+    # dist<i>, sub<i> and <column>_append.
+    namespace = {"_Deopt": _Deopt, "sqrt": sqrt, "isfinite": isfinite, "LOG": log}
+    lookup = []
+    if realization is None:
+        ds = (0.0,) * system.q
+    else:
+        channels = _lookup_channels(realization, "t", namespace)
+        namespace["LIMIT"] = _horizon_limit(realization)
+        lookup = ["if t > LIMIT: return k, x", *(f"dist{i} = {v}" for i, v in enumerate(channels))]
+        at_zero = eval(f"({''.join(f'{v}, ' for v in channels)})", namespace, {"t": 0.0})
+        ds = tuple(trace.local(f"dist{i}", v) for i, v in enumerate(at_zero))
+    z = []
+
+    def accept(solution, subset, lam):
+        z[:] = solution
+        return [f"active = {subset!r}"]
+
+    def substep(state):
+        return _rk4_sum(state, _rk4_stages(system, state, us, ds, h), h)
+
+    def finite(state):
+        return f"if not ({' and '.join(f'isfinite({op(v)})' for v in state)}): return k, x"
+
+    def assign(names, state):
+        return [f"{name} = {op(v)}" for name, v in zip(names, state)]
+
+    # The per-step body reproduces whatever went wrong, so any exception
+    # only means that this run is not traced.
+    try:
+        outputs = _trace_assembly(spec, trace, xs)
+        if not outputs:
+            return None
+        qp = _step_lines(spec, trace, outputs, "return k, x", accept,
+                         ["if active is None: return k, x"], "active is None")
+        assembly = list(trace.lines)
+        # The first step's control, at which RK4 is traced.
+        row, offset, clf_row, clf_offset, c, _ = _values(outputs)
+        solution = solve_qp(QpProblem(Q=spec._qp_quadratic, c=c,
+                                      A=(clf_row, (*map(neg, row), 0.0)), b=(clf_offset, -offset)))
+        if solution.status != "optimal":
+            return None
+        us = tuple(trace.local(name, v) for name, v in zip(z, solution.z[:system.p]))
+        state = contextvars.Context().run(substep, xs)
+        rk4 = trace.lines[len(assembly):] + [finite(state)]
+        if substeps > 1:
+            # The later substeps run as one traced substep in a loop.
+            subs = tuple(trace.local(f"sub{i}", v) for i, v in enumerate(_values(state)))
+            rk4 += assign([s.name for s in subs], state)
+            mark = len(trace.lines)
+            state = contextvars.Context().run(substep, subs)
+            repeat = trace.lines[mark:] + [finite(state)] + assign([s.name for s in subs], state)
+            rk4 += [f"for _ in range({substeps - 1}):", *(f"    {line}" for line in repeat)]
+            state = subs
+        if trace.raised:
+            return None
+        cbf_residual, clf_residual = _residuals(trace, outputs, z)
+        records = {
+            "times": "t", "states": "x", "controls": op(us), "slacks": z[system.p],
+            "disturbances": op(ds), "phi": op(outputs[5]), "cbf_residuals": cbf_residual,
+            "clf_residuals": clf_residual, "qp_statuses": "'optimal'",
+            "guard_event_counts": "0", "active_sets": "active",
+        }
+        # The state is logged as a plain tuple, equal to the per-step body's
+        # checked state: the cyclic collector never untracks an instance of
+        # a tuple subclass, so it would traverse every logged state again.
+        body = [
+            f"t = k * {config.control_period!r}",
+            *lookup,
+            "try:",
+            *(f"    {line}" for line in [*assembly, "active = None", *qp, *rk4]),
+            "except Exception:",
+            "    return k, x",
+            *(f"{column}_append({value})" for column, value in records.items()),
+            *assign(map(op, xs), state),
+            f"x = {op(xs)}",
+        ]
+        source = "\n    ".join([
+            "def loop(k, x):",
+            *(f"{column}_append = LOG.{column}.append" for column in records),
+            f"{''.join(f'{op(v)}, ' for v in xs)}= x",
+            f"for k in range(k, {config.steps}):",
+            *(f"    {line}" for line in body),
+            f"return {config.steps}, x",
+        ])
+        namespace.update(trace.constants)
+        exec(source, namespace)
+        # Popped, so that the function and its globals form no reference
+        # cycle.
+        return namespace.pop("loop")
+    except Exception:
+        return None
+
+
+def _values(traced):
+    """The values at the trace of a traced float or a nested tuple of them
+    and constants."""
+    if traced.__class__ is tuple:
+        return tuple(map(_values, traced))
+    return traced.value if traced.__class__ is _Traced else traced
+
+
 def run_simulation(config: SimulationConfig) -> TrajectoryLog:
     """Run the closed loop for the whole horizon and return the trajectory log.
 
@@ -284,6 +441,12 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
     (strictly inside it for the adaptive mode, whose boundary energy diverges).
     On a solver or integrator fault the log keeps every completed record,
     failed is set, and final_state is the last healthy state.
+
+    The first step compiles the run's loop into one generated function (see
+    _compile_loop), which takes every step it can. Each step it hands back
+    runs through the per-step body below, and the loop resumes after it;
+    both give the same records, bit for bit. metadata["fallback_steps"]
+    counts the steps the body took: all of them if the run is not traced.
     """
     system = config.system
     controller = config.controller
@@ -309,9 +472,16 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
     x = config.x0
     t = 0.0
     guard_total = 0
+    fallbacks = 0
     disturbance = config.disturbance
+    loop = _compile_loop(config, log) or _untraced_loop
 
-    for step in range(config.steps):
+    step = 0
+    while True:
+        step, x = loop(step, x)
+        if step == config.steps:
+            break
+        fallbacks += 1
         t = step * dt
         d = zero_d if disturbance is None else evaluate_signal(disturbance, t)
 
@@ -346,6 +516,7 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
             log.failed = True
             log.failure_reason = f"integration fault at t={t}: {exc}"
             break
+        step += 1
 
     if not log.failed:
         t = config.steps * dt
@@ -353,4 +524,10 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
     log.final_state = x
     log.final_time = t if log.failed else config.horizon
     log.metadata["guard_event_total"] = guard_total
+    log.metadata["fallback_steps"] = fallbacks
     return log
+
+
+def _untraced_loop(k, x):
+    """The loop of a run that is not traced: it hands every step back."""
+    return k, x

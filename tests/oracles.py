@@ -8,12 +8,16 @@ solved by bisection instead of a closed-loop simulation, and a cascade
 derived by hand instead of by nested jets (the triple integrator, the one
 plant here of input relative degree 3).
 
-The two exceptions are reference_solve_qp and reference_evaluate: the QP
-solver's enumeration and the disturbance lookup in their generic forms (loops
-over every active set with an LDL' helper per subset; loops over channels and
-terms with a dispatch on each term's type). The library generates one
-straight-line kernel per problem shape and one lookup per realization, and
-each must return exactly what its loop returns, bit for bit.
+The three exceptions are reference_solve_qp, reference_evaluate and
+reference_run: the QP solver's enumeration, the disturbance lookup and the
+closed loop in their generic forms (loops over every active set with an LDL'
+helper per subset; loops over channels and terms with a dispatch on each
+term's type; a loop over control steps calling the library's lookup, control
+step and RK4 step once each). The library generates one straight-line kernel
+per problem shape, one lookup per realization and one loop per run, and each
+must return exactly what its loop returns, bit for bit. reference_run calls
+the names control_step, integrate_step and evaluate_signal of this module, so
+that a test can patch them.
 """
 
 from __future__ import annotations
@@ -26,11 +30,13 @@ from operator import mul
 
 import numpy as np
 
+from drcbf.controller import control_step
 from drcbf.disturbances import (
     _BOUNDARY_NUDGE,
     Constant,
     DisturbanceError,
     Sinusoid,
+    evaluate as evaluate_signal,
 )
 from drcbf.fields import ControlAffineSystem, field_from_callable
 from drcbf.qp import (
@@ -39,6 +45,14 @@ from drcbf.qp import (
     RANK_TOL,
     QpSolution,
     _inverse_cholesky_factor,
+)
+from drcbf.robust import DegenerateConstraintError
+from drcbf.simulate import (
+    IntegrationFault,
+    TrajectoryLog,
+    _initial_membership,
+    integrate_step,
+    run_simulation,
 )
 
 
@@ -552,3 +566,117 @@ def triple_integrator_drcbf_terms(x, ceiling, k, D):
     k1, k2, k3 = k
     levels = (ceiling - p, -v - 1.0 / (4.0 * k1) - k1 * (D * D), -a - k2 * (D * D))
     return levels, -1.0 / (4.0 * k3), (-1.0,)
+
+
+def reference_run(config):
+    """run_simulation as one loop over the control steps: per step the
+    disturbance lookup, one control_step and one integrate_step per substep,
+    then one record appended to each column of the log. The log's metadata
+    has no fallback_steps."""
+    system = config.system
+    controller = config.controller
+    _initial_membership(controller, config.x0)
+
+    dt = config.control_period
+    substeps = config.integrator_substeps
+    sub_h = dt / substeps
+    zero_d = (0.0,) * system.q
+
+    log = TrajectoryLog()
+    log.metadata = {
+        "mode": controller.mode,
+        "horizon": config.horizon,
+        "control_period": dt,
+        "integrator_substeps": substeps,
+        "steps": config.steps,
+        "disturbance_seed": None
+        if config.disturbance is None
+        else config.disturbance.spec.seed,
+    }
+
+    x = config.x0
+    t = 0.0
+    guard_total = 0
+    disturbance = config.disturbance
+
+    for step in range(config.steps):
+        t = step * dt
+        d = zero_d if disturbance is None else evaluate_signal(disturbance, t)
+
+        try:
+            result = control_step(controller, x, t)
+        except DegenerateConstraintError as exc:
+            log.failed = True
+            log.failure_reason = f"controller fault at t={t}: {exc}"
+            break
+
+        log.times.append(t)
+        log.states.append(x)
+        log.controls.append(result.u)
+        log.slacks.append(result.slack)
+        log.disturbances.append(d)
+        log.phi.append(result.phi)
+        log.cbf_residuals.append(result.cbf_residual)
+        log.clf_residuals.append(result.clf_residual)
+        log.qp_statuses.append(result.qp_status)
+        log.guard_event_counts.append(len(result.guard_events))
+        log.active_sets.append(result.active_set)
+        guard_total += len(result.guard_events)
+        if result.qp_status != "optimal":
+            log.failed = True
+            log.failure_reason = f"solver returned {result.qp_status} at t={t}"
+            break
+
+        try:
+            for _ in range(substeps):
+                x = integrate_step(system, x, result.u, d, sub_h)
+        except IntegrationFault as exc:
+            log.failed = True
+            log.failure_reason = f"integration fault at t={t}: {exc}"
+            break
+
+    if not log.failed:
+        t = config.steps * dt
+
+    log.final_state = x
+    log.final_time = t if log.failed else config.horizon
+    log.metadata["guard_event_total"] = guard_total
+    return log
+
+
+def assert_same_run(config):
+    """run_simulation's log of config, checked against reference_run's: the
+    same repr once its metadata's fallback_steps is set aside."""
+    log = run_simulation(config)
+    metadata = dict(log.metadata)
+    fallback_steps = log.metadata.pop("fallback_steps")
+    expected = reference_run(config)
+    assert repr(log) == repr(expected)
+    assert 0 <= fallback_steps <= len(log)
+    log.metadata = metadata
+    return log
+
+
+def planar_double_integrator():
+    """A plant of input width 2: x = (p_x, p_y, v_x, v_y) with p_x' = v_x +
+    d1, p_y' = v_y, v_x' = u1 and v_y' = u2 + d2. d1 is unmatched and enters
+    at the first cascade level of a barrier on the position (drd_r = 1); d2
+    is matched."""
+    return ControlAffineSystem(
+        n=4,
+        p=2,
+        q=2,
+        f=lambda x: (x[2], x[3], 0.0, 0.0),
+        g=lambda x: ((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+        h=lambda x: ((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0)),
+        ird_m=2,
+        drd_r=1,
+    )
+
+
+def disc_barrier(center, radius):
+    """b = |p - center|^2 - radius^2 on the planar double integrator: the
+    position stays outside the disc."""
+    cx, cy = center
+    r2 = radius * radius
+    return field_from_callable(lambda x: (x[0] - cx) * (x[0] - cx) + (x[1] - cy) * (x[1] - cy) - r2, 4)

@@ -1,10 +1,11 @@
 """The benchmark's output contract, checked on the program as it stands.
 
-Each workload of BENCHMARK.json runs once, at --seconds 0, the way the
-benchmark runs it: perfbench/run.py from a fresh directory holding only a
-link to src. Its last line of standard output must be one strict-JSON
-result with every end-to-end metric finite, and it must leave nothing on
-standard error and no process behind.
+Each workload of BENCHMARK.json runs once untraced and once traced
+(--trace 0 and 1), at --seconds 0, the way the benchmark runs it:
+perfbench/run.py from a fresh directory holding only a link to src. Its
+last line of standard output must be one strict-JSON result with every
+metric finite (the end-to-end metrics untraced, the per-layer ones traced),
+and it must leave nothing on standard error and no process behind.
 """
 
 import json
@@ -33,12 +34,16 @@ def group_alive(pgid):
     return True
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
-def test_workload_ends_in_one_clean_result_line(workload, tmp_path):
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(w["name"], trace, id=w["name"] + ("-traced" if trace else ""))
+    for trace in (0, 1)
+    for w in BENCHMARK["workloads"]
+])
+def test_workload_ends_in_one_clean_result_line(workload, trace, tmp_path):
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     command = [
         sys.executable, str(ROOT / "perfbench" / "run.py"),
-        "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0",
+        "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", str(trace),
     ]
     proc = subprocess.Popen(
         command,
@@ -68,6 +73,6 @@ def test_workload_ends_in_one_clean_result_line(workload, tmp_path):
     assert result["correct"] is True
     assert result["failed"] == 0
     metrics = result["metrics"]
-    assert set(metrics) == {m["name"] for m in BENCHMARK["end_to_end"]}
+    assert set(metrics) == {m["name"] for m in BENCHMARK["per_layer" if trace else "end_to_end"]}
     for name, metric in metrics.items():
         assert math.isfinite(metric["value"]), name

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from drcbf import cli
+from drcbf import cli, simulate
 from drcbf.acc import DEFAULT_SEED, AccParameters, summarize_log
 from drcbf.cli import (
     ConfigError,
@@ -328,6 +328,18 @@ class TestCsvContract:
         log.qp_statuses[0] = "infeasible"
         summary = summarize_log(log, AccParameters())
         assert summary["slack_max"] is None and summary["slack_mean"] is None
+
+    def test_summary_counts_the_steps_the_generated_loop_handed_back(self, tmp_path, monkeypatch):
+        doc = case_document(1, "adrcbf", horizon=0.5, output={"plots": False})
+        execute_document(doc, out_dir=tmp_path / "traced")
+        written = json.loads((tmp_path / "traced" / "summary.json").read_text())
+        assert written["fallback_steps"] == 0
+        monkeypatch.setattr(simulate, "_compile_loop", lambda config, log: None)
+        execute_document(doc, out_dir=tmp_path / "untraced")
+        written = json.loads((tmp_path / "untraced" / "summary.json").read_text())
+        assert written["fallback_steps"] == written["records"] == 500
+        traced = (tmp_path / "traced" / "trajectory.csv").read_bytes()
+        assert (tmp_path / "untraced" / "trajectory.csv").read_bytes() == traced
 
     def test_summary_min_distance_matches_the_csv_column(self, tmp_path):
         code, summary = execute_document(pushed_doc(), out_dir=tmp_path)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drcbf import controller, simulate
+from drcbf import controller
 from drcbf.acc import build_study
 from drcbf.qp import QpProblem, QpSolution, QpValidationError, solve_qp
-from drcbf.simulate import run_simulation
 
+import oracles
 from oracles import (
     brute_force_active_set,
     grid_refine_qp,
@@ -224,9 +224,13 @@ class TestGeneratedKernel:
     def test_every_qp_of_a_study_run(self, mode, monkeypatch):
         # 7 s of case 3 pass through the sets (0,), () and, once settled
         # (from ~5.9 s), the binding (0, 1) with its refinement step. The
-        # compiled control step runs the enumeration inline, so every step
-        # is also taken by the generic step, whose QP is checked against the
-        # reference, and the two results must agree.
+        # compiled control step and run_simulation's generated loop run the
+        # enumeration inline, so every step of the reference loop is also
+        # taken by the generic step, whose QP is checked against the
+        # reference, and the two results must agree; the generated loop
+        # must give the reference loop's log.
+        log = oracles.assert_same_run(build_study(mode, case=3, horizon=7.0, verify=False))
+        assert log.metadata["fallback_steps"] == 0
         active = set()
 
         def checked_solve(problem):
@@ -242,8 +246,8 @@ class TestGeneratedKernel:
             return result
 
         monkeypatch.setattr(controller, "solve_qp", checked_solve)
-        monkeypatch.setattr(simulate, "control_step", checked_step)
-        log = run_simulation(build_study(mode, case=3, horizon=7.0, verify=False))
+        monkeypatch.setattr(oracles, "control_step", checked_step)
+        log = oracles.reference_run(build_study(mode, case=3, horizon=7.0, verify=False))
         assert not log.failed
         assert len(log) == 7000
         assert active == {(), (0,), (0, 1)}

@@ -1,9 +1,11 @@
 """Closed-loop engine: integrator exactness, grid discipline, fault handling."""
 
 import dataclasses
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -20,8 +22,17 @@ from drcbf.fields import (
     field_from_callable,
     reciprocal_field,
 )
+from drcbf.adaptive import build_adrcbf_chain
+from drcbf.disturbances import (
+    Constant,
+    DisturbanceError,
+    SignalSpec,
+    Sinusoid,
+    UniformNoise,
+    realize,
+)
 from drcbf.poles import coefficients_from_poles
-from drcbf.robust import build_hocbf_chain
+from drcbf.robust import build_drcbf_chain, build_hocbf_chain
 from drcbf.simulate import (
     IntegrationFault,
     SimulationConfig,
@@ -30,9 +41,25 @@ from drcbf.simulate import (
     integrate_step,
     run_simulation,
 )
-from drcbf.acc import AccParameters, acc_system, build_study, drag_force, summarize_log
+from drcbf.acc import (
+    AccParameters,
+    acc_system,
+    build_study,
+    case_bound,
+    drag_force,
+    summarize_log,
+)
 
-from oracles import rk4_reference, triple_integrator
+import oracles
+from oracles import (
+    assert_same_run,
+    ceiling_barrier,
+    disc_barrier,
+    planar_double_integrator,
+    reference_run,
+    rk4_reference,
+    triple_integrator,
+)
 
 PARAMS = AccParameters()
 
@@ -249,41 +276,48 @@ class TestRunSimulation:
         # The step that stops the run still appears in the log, so its guard
         # events belong in the run's total as well as in the summary's.
         config = build_study("adrcbf", case=1, horizon=0.05, verify=False)
-        real_step = simulate.control_step
+        assert_same_run(config)
 
         def clamped_and_infeasible(controller, x, t):
-            result = real_step(controller, x, t)
+            result = control_step(controller, x, t)
             if t < 0.002:
                 return result
             return dataclasses.replace(
                 result, qp_status="infeasible", guard_events=(GuardEvent(1e-13, 1e-12),)
             )
 
-        monkeypatch.setattr(simulate, "control_step", clamped_and_infeasible)
-        log = run_simulation(config)
+        monkeypatch.setattr(oracles, "control_step", clamped_and_infeasible)
+        log = reference_run(config)
         assert log.failed
         assert "infeasible" in log.failure_reason
         assert len(log) == 3
         assert log.guard_event_counts[-1] == 1
         assert log.metadata["guard_event_total"] == sum(log.guard_event_counts) >= 1
         assert summarize_log(log, PARAMS)["guard_event_total"] == log.metadata["guard_event_total"]
+        # run_simulation's per-step body, which takes every step of a run
+        # that is not traced, records the same.
+        monkeypatch.setattr(simulate, "control_step", clamped_and_infeasible)
+        monkeypatch.setattr(simulate, "_compile_loop", lambda config, log: None)
+        body_log = run_simulation(config)
+        assert body_log.metadata.pop("fallback_steps") == 3
+        assert repr(body_log) == repr(log)
 
     @pytest.mark.parametrize("substeps", [1, 2])
     def test_one_integrate_step_call_per_substep(self, monkeypatch, substeps):
-        # The RK4 step stays a call of the module's integrate_step, once per
-        # substep, so that wrapping it times and counts every RK4 step.
-        calls = []
-        real_step = simulate.integrate_step
-
-        def counting(*args):
-            calls.append(args[-1])
-            return real_step(*args)
-
-        monkeypatch.setattr(simulate, "integrate_step", counting)
+        # The reference loop calls integrate_step once per substep, with the
+        # substep's length.
         config = build_study(
             "drcbf", case=1, horizon=1.0, integrator_substeps=substeps, verify=False
         )
-        log = run_simulation(config)
+        assert_same_run(config)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return integrate_step(*args)
+
+        monkeypatch.setattr(oracles, "integrate_step", counting)
+        log = reference_run(config)
         assert not log.failed
         assert len(calls) == 1000 * substeps
         assert set(calls) == {1e-3 / substeps}
@@ -362,11 +396,14 @@ class TestCompiledRk4:
             substeps.append(served(system, x, u, d, h))
             return same_as_generic(system, x, u, d, h)
 
-        monkeypatch.setattr(simulate, "integrate_step", checked)
-        log = run_simulation(config)
+        monkeypatch.setattr(oracles, "integrate_step", checked)
+        log = reference_run(config)
         assert not log.failed
         # The first substep traces the system, so only it is not yet served.
         assert substeps == [False] + [True] * 1999
+        assert_same_run(
+            build_study("drcbf", case=2, horizon=1.0, integrator_substeps=2, verify=False)
+        )
 
     def test_flipped_branch_runs_the_generic_step(self):
         # x' = |x| from a comparison, whose outcome flips at x = 0.
@@ -521,8 +558,10 @@ class TestCompiledRk4:
         assert "nan" not in compiled_log.failure_reason
         # The traced step itself overflowed to a non-finite state.
         assert served(config.system, compiled_log.states[-1], compiled_log.controls[-1], (0.0,), 0.1)
-        monkeypatch.setattr(simulate, "integrate_step", _generic_integrate_step)
-        generic_log = run_simulation(cubic_runaway_config(cube=lambda v: v * v * v))
+        # The generated loop hands the faulting step to the per-step body.
+        assert compiled_log.metadata.pop("fallback_steps") == 1
+        monkeypatch.setattr(oracles, "integrate_step", _generic_integrate_step)
+        generic_log = reference_run(cubic_runaway_config(cube=lambda v: v * v * v))
         assert repr(compiled_log) == repr(generic_log)
         assert compiled_log.failure_reason == generic_log.failure_reason
         assert compiled_log.final_state == generic_log.final_state
@@ -550,3 +589,230 @@ class TestStepSizeRobustness:
         min_coarse = min(s[0] for s in coarse.states)
         min_fine = min(s[0] for s in fine.states)
         assert abs(min_coarse - min_fine) <= 1e-3
+
+
+def triple_integrator_config(mode, horizon):
+    """The m = 3 plant driven from p = 6 towards a ceiling at p = 10, with held noise on
+    the unmatched channel and a sinusoid on the matched one."""
+    system = triple_integrator()
+    barrier = ceiling_barrier(10.0)
+    coeffs = coefficients_from_poles((1.0, 2.0, 3.0))
+    gains = (1.0, 2.0, 3.0)
+    chain = {
+        "hocbf": lambda: build_hocbf_chain(system, barrier, coeffs),
+        "drcbf": lambda: build_drcbf_chain(system, barrier, coeffs, gains, 0.5),
+        "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, gains, (1.0, 1.0, 1.0)),
+    }[mode]()
+    controller = ControllerSpec(
+        mode=mode,
+        chain=chain,
+        clf=ClfSpec(
+            V=field_from_callable(lambda x: (x[1] + x[2] - 1.0) * (x[1] + x[2] - 1.0), 3),
+            sigma=1.0,
+            slack_weight=10.0,
+        ),
+        objective_h=((1.0,),),
+        objective_f=lambda x: (0.5 * x[2],),
+    )
+    signal = SignalSpec(
+        channels=((UniformNoise(-0.3, 0.3, 0.01),), (Sinusoid(0.3, 2.0),)), seed=9
+    )
+    return SimulationConfig(
+        system=system,
+        controller=controller,
+        disturbance=realize(signal, horizon),
+        x0=(6.0, 0.0, 0.0),
+        horizon=horizon,
+        control_period=1e-3,
+    )
+
+
+def planar_config(mode, horizon):
+    """The p = 2 plant heading past a disc of radius 2 at (5, 0), tracking
+    v_x = 1 with a state-dependent objective row."""
+    system = planar_double_integrator()
+    barrier = disc_barrier((5.0, 0.0), 2.0)
+    coeffs = coefficients_from_poles((1.0, 2.0))
+    chain = {
+        "hocbf": lambda: build_hocbf_chain(system, barrier, coeffs),
+        "drcbf": lambda: build_drcbf_chain(system, barrier, coeffs, (5.0, 5.0), 0.3),
+        "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, (20.0, 20.0), (1.0, 1.0)),
+    }[mode]()
+    controller = ControllerSpec(
+        mode=mode,
+        chain=chain,
+        clf=ClfSpec(
+            V=field_from_callable(lambda x: (x[2] - 1.0) * (x[2] - 1.0) + x[3] * x[3], 4),
+            sigma=1.0,
+            slack_weight=10.0,
+        ),
+        objective_h=((1.0, 0.0), (0.0, 1.0)),
+        objective_f=lambda x: (0.1 * x[2], -0.1 * x[3]),
+    )
+    signal = SignalSpec(
+        channels=((UniformNoise(-0.2, 0.2, 0.01),), (Sinusoid(0.2, 3.0),)), seed=4
+    )
+    return SimulationConfig(
+        system=system,
+        controller=controller,
+        disturbance=realize(signal, horizon),
+        x0=(0.0, 0.3, 0.5, 0.0),
+        horizon=horizon,
+        control_period=1e-3,
+    )
+
+
+def untraceable_objective_config(horizon):
+    config = build_study("drcbf", case=1, horizon=horizon, verify=False)
+    spec = config.controller
+    controller = ControllerSpec(
+        mode=spec.mode,
+        chain=spec.chain,
+        clf=spec.clf,
+        objective_h=spec.objective_h,
+        objective_f=lambda x: (-1e-3 * math.exp(-x[1] / 10.0),),
+    )
+    return dataclasses.replace(config, controller=controller)
+
+
+class TestGeneratedLoop:
+    """run_simulation compiles its loop into one generated function, which
+    hands the steps it cannot take to the per-step body; every log must be
+    the reference loop's, bit for bit."""
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_study_runs(self, mode, case):
+        # 8 s of each run take in the transient and the settled phase.
+        log = assert_same_run(build_study(mode, case=case, horizon=8.0, verify=False))
+        assert not log.failed
+        assert log.metadata["fallback_steps"] == 0
+
+    def test_no_fallback_step_on_the_default_study_runs(self):
+        for mode in ("hocbf", "drcbf", "adrcbf"):
+            for case in (1, 2, 3):
+                log = run_simulation(build_study(mode, case=case, verify=False))
+                assert len(log) == 30_000
+                assert log.metadata["fallback_steps"] == 0, (mode, case)
+
+    @pytest.mark.parametrize("mode, substeps", [("drcbf", 2), ("adrcbf", 3)])
+    def test_substeps(self, mode, substeps):
+        config = build_study(mode, case=3, horizon=2.0, integrator_substeps=substeps, verify=False)
+        assert assert_same_run(config).metadata["fallback_steps"] == 0
+
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_no_disturbance(self, mode):
+        log = assert_same_run(build_study(mode, horizon=3.0, verify=False))
+        assert log.metadata["fallback_steps"] == 0
+        assert set(log.disturbances) == {(0.0, 0.0)}
+
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_triple_integrator(self, mode):
+        log = assert_same_run(triple_integrator_config(mode, 6.0))
+        assert not log.failed
+        assert log.metadata["fallback_steps"] == 0
+        assert {(), (0,), (0, 1)} <= set(log.active_sets)
+
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_planar_double_integrator(self, mode):
+        log = assert_same_run(planar_config(mode, 6.0))
+        assert not log.failed
+        assert log.metadata["fallback_steps"] == 0
+        assert {(0,), (0, 1)} <= set(log.active_sets)
+        assert all(len(u) == 2 for u in log.controls)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_integration_fault(self, traced):
+        # A power is not traced, so that run goes through the per-step body
+        # throughout; a product is, and the body takes only the faulting
+        # step.
+        config = cubic_runaway_config(cube=(lambda v: v * v * v) if traced else (lambda v: v ** 3))
+        log = assert_same_run(config)
+        assert log.failed
+        assert "integration fault" in log.failure_reason
+        assert log.metadata["fallback_steps"] == (1 if traced else len(log))
+
+    def test_untraceable_objective(self):
+        log = assert_same_run(untraceable_objective_config(0.5))
+        assert not log.failed
+        assert log.metadata["fallback_steps"] == len(log) == 500
+
+    def test_forced_decline(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_compile_loop", lambda config, log: None)
+        log = assert_same_run(build_study("adrcbf", case=1, horizon=0.5, verify=False))
+        assert log.metadata["fallback_steps"] == len(log) == 500
+
+    def test_adrcbf_guard_breach_under_the_worst_constant_disturbance(self):
+        # d = (-D, 0) with D the case-1 bound drives phi_1 past the energy
+        # guard at t = 4.494 s; the clamped energy gives an absurd command,
+        # and three steps later the QP is reported infeasible. The loop
+        # hands the breach and the abort to the per-step body.
+        bound = case_bound(1)
+        signal = SignalSpec(channels=((Constant(-bound),), (Constant(0.0),)))
+        config = build_study("adrcbf", disturbance_spec=signal, horizon=5.0, verify=False)
+        log = assert_same_run(config)
+        assert log.failed
+        assert log.failure_reason == "solver returned infeasible at t=4.501"
+        breaches = [t for t, count in zip(log.times, log.guard_event_counts) if count]
+        assert breaches == [pytest.approx(4.494, abs=1e-12)]
+        assert log.metadata["guard_event_total"] == 1
+        assert log.metadata["fallback_steps"] == 2
+
+    def test_time_past_the_realized_horizon_raises_as_the_reference_loop(self):
+        # SimulationConfig rejects a realization shorter than the run; one
+        # swapped in afterwards fails at the first step past its horizon.
+        config = build_study("drcbf", case=1, horizon=0.5, verify=False)
+        short = realize(config.disturbance.spec, 0.2)
+        object.__setattr__(config, "disturbance", short)
+        with pytest.raises(DisturbanceError) as want:
+            reference_run(config)
+        with pytest.raises(DisturbanceError) as got:
+            run_simulation(config)
+        assert str(got.value) == str(want.value)
+        assert "0.201" in str(got.value)
+
+    def test_repeated_right_hand_sides_are_computed_once(self, monkeypatch):
+        # One trace spans the assembly and RK4, so the drift that both
+        # evaluate at the state is computed once per step.
+        sources = []
+
+        def spy(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(simulate, "exec", spy, raising=False)
+        run_simulation(build_study("drcbf", case=1, horizon=0.01, verify=False))
+        (source,) = sources
+        traced = [line.strip() for line in source.splitlines() if line.strip().startswith("t")]
+        rhs = [line.split(" = ", 1)[1] for line in traced if " = " in line]
+        assert len(rhs) > 100
+        assert len(set(rhs)) == len(rhs)
+
+    def test_dropped_runs_free_their_compiled_functions(self, monkeypatch):
+        # No compiled function is in a reference cycle with its globals: a
+        # dropped spec's step, a dropped system's RK4 step and a finished
+        # run's loop go at once, with the cyclic collector off.
+        loops = []
+        compile_loop = simulate._compile_loop
+
+        def kept(config, log):
+            loop = compile_loop(config, log)
+            loops.append(weakref.ref(loop))
+            return loop
+
+        monkeypatch.setattr(simulate, "_compile_loop", kept)
+        gc.collect()
+        gc.disable()
+        try:
+            config = build_study("drcbf", case=1, horizon=0.01, verify=False)
+            spec, system = config.controller, config.system
+            u = control_step(spec, config.x0, 0.0).u
+            integrate_step(system, config.x0, u, (0.0, 0.0), 1e-3)
+            log = run_simulation(config)
+            assert len(log) == 10
+            refs = [weakref.ref(spec._step), weakref.ref(system._rk4), *loops]
+            assert all(ref() is not None for ref in refs[:2])
+            del config, spec, system, log
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()

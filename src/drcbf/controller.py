@@ -36,7 +36,7 @@ from .fields import (
     _Traced,
     as_state,
 )
-from .qp import QpProblem, _inverse_cholesky_factor, _kernel_lines, _sum, solve_qp
+from .qp import QpProblem, _inverse_cholesky_factor, _kernel_lines, _prelude, solve_qp
 from .robust import (
     BETA_DEGENERACY_TOL,
     AffineControlConstraint,
@@ -302,25 +302,35 @@ def _step_lines(spec, trace, outputs, decline, accept, reject, condition="True")
     the generic step's output checks, which run the line decline where they
     fail, then the QP with the spec's factor of its quadratic baked in, from
     qp._kernel_lines with accept, reject and condition. They need sqrt and
-    isfinite as globals. On traced values the safety row's negation is
-    recorded, so the trace's lines must be taken after this call.
+    isfinite as globals. The squared norm of the safety row, its negation
+    and the QP's prelude (see qp._prelude) are recorded on trace, so that
+    the trace's simplification covers them; the trace's operations up to
+    this call must be rendered before these lines.
     """
     row, offset, clf_row, clf_offset, c, _ = outputs
     R = _inverse_cholesky_factor(spec._qp_quadratic)
     op = trace.operand
-    checked = [v for v in (offset, clf_offset, *row, *clf_row, *c)
-               if v.__class__ is _Traced or not isfinite(v)]
-    lines = [
-        f"if not (sqrt({_sum([f'{op(v)} * {op(v)}' for v in row])}) >= {BETA_DEGENERACY_TOL!r}"
-        + "".join(f" and isfinite({op(v)})" for v in checked)
-        + f"): {decline}"
-    ]
+
+    def dot(u, w):
+        return _traced_sum(trace, [a * b for a, b in zip(u, w)])
+
+    norm = dot(row, row)
     # Both rows normalized to <= sense: the safety row flips sign.
     A = (clf_row, (*map(neg, row), 0.0))
     b = (clf_offset, -offset)
+    y, v, g, e = _prelude(
+        R, c, A, b, lambda name, u, w: dot(u, w), lambda name, u, w, bi: -dot(u, w) - bi
+    )
+    checked = [v for v in (offset, clf_offset, *row, *clf_row, *c)
+               if v.__class__ is _Traced or not isfinite(v)]
+    lines = [
+        f"if not (sqrt({op(norm)}) >= {BETA_DEGENERACY_TOL!r} and {trace.check(checked)}):"
+        f" {decline}"
+    ]
     lines += _kernel_lines(
         [list(map(op, r)) for r in R],
-        list(map(op, c)),
+        (list(map(op, y)), [list(map(op, vi)) for vi in v],
+         {ij: op(gij) for ij, gij in g.items()}, list(map(op, e))),
         [list(map(op, a)) for a in A],
         list(map(op, b)),
         accept,
@@ -328,6 +338,16 @@ def _step_lines(spec, trace, outputs, decline, accept, reject, condition="True")
         condition,
     )
     return lines
+
+
+def _traced_sum(trace, terms):
+    """sum(terms) as qp._sum spells it, on traced floats and constants."""
+    if len(terms) > 2:
+        return trace.call(f"sum(({'{}, ' * len(terms)}))", lambda *t: sum(t), terms)
+    total = 0.0 if terms else 0
+    for term in terms:
+        total = total + term
+    return total
 
 
 def _residuals(trace, outputs, z):

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import copysign
 from typing import Optional
 
 import numpy as np
+
+from .fields import _Trace
 
 __all__ = [
     "DisturbanceError",
@@ -207,41 +210,47 @@ def realize(spec: SignalSpec, horizon: float) -> SignalRealization:
                 seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(ci, ti))
                 gen = np.random.Generator(np.random.Philox(seq))
                 values = gen.uniform(term.low, term.high, size=n)
-                drawn.append(tuple(float(v) for v in values))
+                drawn.append(tuple(values.tolist()))
             else:
                 drawn.append(None)
         draws.append(tuple(drawn))
     return SignalRealization(spec=spec, horizon=h, draws=tuple(draws))
 
 
-def _lookup_channels(realization: SignalRealization, t: str, namespace: dict) -> list:
-    """Source of evaluate for realization at the float named t, without its
-    horizon check: one expression per channel. The globals the expressions
-    read go into namespace.
+def _lookup_channels(realization: SignalRealization, trace: _Trace, t, namespace: dict) -> list:
+    """evaluate for realization at t, a traced float of trace, without its
+    horizon check: one traced float or constant per channel. The globals
+    the recorded operations read go into namespace.
 
-    Each expression repeats the generic sum in its float order: 0.0 plus
-    each term in turn, a constant as its literal, a sinusoid as
+    Each channel repeats the generic sum in its float order: 0.0 plus each
+    term in turn, a constant as its value, a sinusoid as
     amplitude * sin(angular_frequency * t + phase) (or cos), a noise term as
     its draws tuple (bound as a global, not copied) at the held index.
     """
     namespace.update(sin=math.sin, cos=math.cos, floor=math.floor)
     channels = []
     for ci, (terms, drawn) in enumerate(zip(realization.spec.channels, realization.draws)):
-        value = "0.0"
+        value = 0.0
         for ti, (term, values) in enumerate(zip(terms, drawn)):
             if isinstance(term, Constant):
-                value += f" + {term.value!r}"
+                value = value + term.value
             elif isinstance(term, Sinusoid):
-                value += (
-                    f" + {term.amplitude!r} * {term.kind}"
-                    f"({term.angular_frequency!r} * {t} + {term.phase!r})"
-                )
+                angle = term.angular_frequency * t + term.phase
+                wave = trace.call(f"{term.kind}({{}})", namespace[term.kind], [angle])
+                value = value + term.amplitude * wave
             else:
                 name = f"W{ci}_{ti}"
                 namespace[name] = values
-                value += (
-                    f" + {name}[min({len(values) - 1},"
-                    f" floor({t} / {term.hold_interval!r} + {_BOUNDARY_NUDGE!r}))]"
+                last, hold = len(values) - 1, term.hold_interval
+                index = trace.call(
+                    f"min({last}, floor({{}} / {hold!r} + {_BOUNDARY_NUDGE!r}))",
+                    lambda u, last=last, hold=hold: min(last, math.floor(u / hold + _BOUNDARY_NUDGE)),
+                    [t],
+                )
+                # A draw of -0.0 would be a held value that 0.0 + draw changes.
+                signed = 0.0 in values and any(copysign(1.0, v) < 0.0 for v in values if v == 0.0)
+                value = value + trace.call(
+                    f"{name}[{{}}]", values.__getitem__, [index], never_negative_zero=not signed
                 )
         channels.append(value)
     return channels
@@ -254,21 +263,29 @@ def _horizon_limit(realization: SignalRealization) -> float:
 
 def _compile_lookup(realization: SignalRealization):
     """evaluate for realization as one generated straight-line function of t:
-    the horizon check with its message, then the channels of _lookup_channels.
+    the horizon check with its message, then the channels of
+    _lookup_channels, as the trace's simplification leaves them (see
+    drcbf.fields._Trace).
     """
     namespace = {
         "DisturbanceError": DisturbanceError,
         "LIMIT": _horizon_limit(realization),
         "OUTSIDE": f" is outside the realized horizon [0, {realization.horizon}]",
     }
-    channels = _lookup_channels(realization, "tt", namespace)
+    trace = _Trace()
+    channels = _lookup_channels(realization, trace, trace.local("tt", 0.0), namespace)
+    result = f"return {trace.operand(tuple(channels))}"
+    trace.simplify([result])
     source = "\n    ".join([
         "def lookup(t):",
         "tt = float(t)",
         "if tt < 0.0 or tt > LIMIT:",
         "    raise DisturbanceError(f'time {tt}' + OUTSIDE)",
-        f"return ({''.join(f'{v}, ' for v in channels)})",
+        *trace.render(),
+        result,
     ])
+    source = trace.resolve(source)
+    namespace.update(trace.constants)
     exec(source, namespace)
     # Popped, so that the function and its globals form no reference cycle:
     # the draws go with the realization, not at the next garbage collection.

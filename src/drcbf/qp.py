@@ -213,40 +213,50 @@ def _ldl_solve_lines(m, d, rhs, out):
     return lines
 
 
-def _kernel_lines(R, c, A, b, accept, reject, condition="True"):
+def _prelude(R, c, A, b, dot, gap):
+    """The data the enumeration reads, in the coordinates of R, as (y, v,
+    g, e): y = R c and v_i = R a_i, so that z0 = -R'y, the Gram matrix
+    g[i, j] = v_i . v_j = (A Q^-1 A')_ij for i <= j, and the gaps
+    e_i = (A z0 - b)_i = -v_i . y - b_i.
+
+    dot(name, u, w) forms u . w as _sum spells it, and gap(name, u, w, bi)
+    forms -(u . w) - bi; name is the local the generic kernel keeps the
+    value in.
+    """
+    rows, cols = range(len(b)), range(len(c))
+    y = [dot(f"y{k}", R[k], c) for k in cols]
+    v = [[dot(f"v{i}_{k}", R[k], A[i]) for k in cols] for i in rows]
+    g = {(i, j): dot(f"g{i}_{j}", v[i], v[j]) for i in rows for j in rows[i:]}
+    e = [gap(f"e{i}", v[i], y, b[i]) for i in rows]
+    return y, v, g, e
+
+
+def _kernel_lines(R, prelude, A, b, accept, reject, condition="True"):
     """The generic active-set enumeration's float operations in their order,
     as the lines of one generated function.
 
-    R, c, A and b are the sources of the data's entries (locals or
-    literals), R the rows of the lower triangle. The lines form the
-    coordinates y, v_i, the Gram matrix and gap; then, for every active set
-    in combinations order, the LDL' pivots with their rank check, the
-    multipliers and their sign check, the screening of the other rows, the
-    refinement step, z = -R'w and the feasibility check of every row on z.
-    Each active set is a `while True` block that a failed check leaves by
-    `break`; the first to pass runs the lines accept(z, subset, lam), given
-    the locals of z and of the multipliers, which must return. The lines
-    reject run when none passes. With another condition than "True" the
-    accept lines may instead make it false, which skips every later active
-    set and leaves z in its locals; the lines reject then run either way.
-    The tolerances are baked in as literals.
+    R, A and b are the sources of the data's entries (locals or literals),
+    R the rows of the lower triangle, and prelude the sources of y, v, g
+    and e (see _prelude), formed before these lines. For every active set
+    in combinations order, the lines form the LDL' pivots with their rank
+    check, the multipliers and their sign check, the screening of the other
+    rows, the refinement step, z = -R'w and the feasibility check of every
+    row on z. Each active set is a `while True` block that a failed check
+    leaves by `break`; the first to pass runs the lines accept(z, subset,
+    lam), given the locals of z and of the multipliers, which must return.
+    The lines reject run when none passes. With another condition than
+    "True" the accept lines may instead make it false, which skips every
+    later active set and leaves z in its locals; the lines reject then run
+    either way. The tolerances are baked in as literals.
     """
-    n_con, dim = len(b), len(c)
+    y, v, gram, e = prelude
+    n_con, dim = len(b), len(y)
     rows, cols = range(n_con), range(dim)
-    y = [f"y{j}" for j in cols]
-    v = [[f"v{i}_{j}" for j in cols] for i in rows]
-    e = [f"e{i}" for i in rows]
 
     def g(i, j):
-        return f"g{min(i, j)}_{max(i, j)}"
+        return gram[min(i, j), max(i, j)]
 
-    # In the coordinates of R: y = R c and v_i = R a_i, so z0 = -R'y,
-    # (A Q^-1 A')_ij = v_i . v_j and gap_i = (A z0 - b)_i = -v_i . y - b_i.
-    body = [f"{y[k]} = {_dot(R[k], c)}" for k in cols]
-    body += [f"{v[i][k]} = {_dot(R[k], A[i])}" for i in rows for k in cols]
-    body += [f"{g(i, j)} = {_dot(v[i], v[j])}" for i in rows for j in rows[i:]]
-    body += [f"{e[i]} = -{_dot(v[i], y)} - {b[i]}" for i in rows]
-
+    body = []
     for size in range(min(dim, n_con) + 1):
         for subset in combinations(rows, size):
             lam = [f"l{t}" for t in range(size)]
@@ -343,7 +353,17 @@ def _kernel(n_con, dim):
             body.append(unpack(map(tup, A), "A"))
     if n_con:
         body.append(unpack(b, "b"))
-    body += _kernel_lines(R, c, A, b, accept, ["return QpSolution((), (), inf, 'infeasible', ())"])
+
+    def named(name, expression):
+        body.append(f"{name} = {expression}")
+        return name
+
+    prelude = _prelude(
+        R, c, A, b,
+        lambda name, u, w: named(name, _dot(u, w)),
+        lambda name, u, w, bi: named(name, f"-{_dot(u, w)} - {bi}"),
+    )
+    body += _kernel_lines(R, prelude, A, b, accept, ["return QpSolution((), (), inf, 'infeasible', ())"])
     source = "def kernel(R, Q, c, A, b):\n" + "".join(f"    {line}\n" for line in body)
     namespace = {"QpSolution": QpSolution, "inf": math.inf}
     exec(source, namespace)

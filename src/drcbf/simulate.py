@@ -212,8 +212,9 @@ def _trace_rk4(system: ControlAffineSystem, x, u, d, h):
     a recorded comparison comes out differently; x, u and d must have n, p
     and q entries. They run in an empty context, so that a guarded
     reciprocal raises instead of clamping. The function returns a state of
-    n finite plain floats as a checked state, and any other as a tuple. If
-    anything fails, the system keeps the generic step.
+    n finite plain floats as a checked state, and any other as a tuple,
+    except a non-finite one of a step with a recorded comparison, for which
+    it raises _Deopt. If anything fails, the system keeps the generic step.
     """
     trace = _Trace()
     xs, us, ds = trace.inputs(x), trace.inputs(u), trace.inputs(d)
@@ -229,12 +230,16 @@ def _trace_rk4(system: ControlAffineSystem, x, u, d, h):
         if trace.raised:
             return False
         state = trace.operand(outputs)
-        checked = " and ".join(
-            f"({v}).__class__ is float and isfinite({v})" for v in map(trace.operand, outputs)
-        )
-        tail = [f"if {checked}: return _CheckedState({state})", f"return {state}"]
-        namespace = {"_CheckedState": _CheckedState, "isfinite": isfinite}
-        return trace.function(tail, namespace)
+        floats = " and ".join(f"({v}).__class__ is float" for v in map(trace.operand, outputs))
+        # Where a recorded comparison reads a value that the simplification
+        # made finite, the generic step may branch otherwise: with one, a
+        # non-finite state goes to the generic step, to fault there.
+        compared = any(name is None for _, name, *_ in trace.ops)
+        tail = [
+            f"if {trace.check(outputs)}: return _CheckedState({state}) if {floats} else {state}",
+            "raise _Deopt" if compared else f"return {state}",
+        ]
+        return trace.function(tail, {"_CheckedState": _CheckedState})
     except Exception:
         return False
 
@@ -305,15 +310,16 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
     function loop(k, x), or None if the run cannot be traced.
 
     The first step's float work runs once at the initial state on traced
-    floats of one _Trace, in an empty context: the controller's assembly
-    (see drcbf.controller._trace_assembly), then RK4 with the control the
-    QP gives there and the disturbance at t = 0, the first substep from the
+    floats of one _Trace, in an empty context: the realization's lookup at
+    t = 0 (see drcbf.disturbances._lookup_channels), the controller's
+    assembly (see drcbf.controller._trace_assembly) and QP prelude, then
+    RK4 with the control the QP gives there, the first substep from the
     traced state and, with more substeps, one more from fresh locals, which
-    the loop repeats. A right-hand side that repeats an earlier one, in the
-    assembly or in RK4, is computed once. Each iteration of the loop then
-    does a whole control step: the realization's lookup (see
-    drcbf.disturbances._lookup_channels), the traced assembly with the
-    generic step's output checks, the QP's active-set enumeration (see
+    the loop repeats. The trace's simplification (see _Trace) then folds
+    operations with exact zeros and ones and computes a repeated right-hand
+    side once, across all of them. Each iteration of the loop does a whole
+    control step: the lookup, the traced assembly with the generic step's
+    output checks, the QP's active-set enumeration (see
     drcbf.controller._step_lines), the traced RK4 substeps, each with the
     finiteness check, and one record appended to each of log's columns.
 
@@ -333,17 +339,18 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
     xs = trace.inputs(config.x0)
     # Besides the trace's x<i>, t<i> and K<i> and the QP's locals (see
     # drcbf.qp._kernel_lines), the loop's locals are k, t, x, active,
-    # dist<i>, sub<i> and <column>_append.
+    # sub<i> and <column>_append.
     namespace = {"_Deopt": _Deopt, "sqrt": sqrt, "isfinite": isfinite, "LOG": log}
     lookup = []
     if realization is None:
         ds = (0.0,) * system.q
     else:
-        channels = _lookup_channels(realization, "t", namespace)
+        # t = k * dt is never negative, nor -0.0.
+        t = trace.local("t", 0.0, non_negative=True)
+        ds = tuple(_lookup_channels(realization, trace, t, namespace))
         namespace["LIMIT"] = _horizon_limit(realization)
-        lookup = ["if t > LIMIT: return k, x", *(f"dist{i} = {v}" for i, v in enumerate(channels))]
-        at_zero = eval(f"({''.join(f'{v}, ' for v in channels)})", namespace, {"t": 0.0})
-        ds = tuple(trace.local(f"dist{i}", v) for i, v in enumerate(at_zero))
+        lookup = ["if t > LIMIT: return k, x"]
+    assembly = trace.mark()
     z = []
 
     def accept(solution, subset, lam):
@@ -354,7 +361,7 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
         return _rk4_sum(state, _rk4_stages(system, state, us, ds, h), h)
 
     def finite(state):
-        return f"if not ({' and '.join(f'isfinite({op(v)})' for v in state)}): return k, x"
+        return f"if not ({trace.check(state)}): return k, x"
 
     def assign(names, state):
         return [f"{name} = {op(v)}" for name, v in zip(names, state)]
@@ -367,7 +374,7 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
             return None
         qp = _step_lines(spec, trace, outputs, "return k, x", accept,
                          ["if active is None: return k, x"], "active is None")
-        assembly = list(trace.lines)
+        first = trace.mark()
         # The first step's control, at which RK4 is traced.
         row, offset, clf_row, clf_offset, c, _ = _values(outputs)
         solution = solve_qp(QpProblem(Q=spec._qp_quadratic, c=c,
@@ -376,15 +383,15 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
             return None
         us = tuple(trace.local(name, v) for name, v in zip(z, solution.z[:system.p]))
         state = contextvars.Context().run(substep, xs)
-        rk4 = trace.lines[len(assembly):] + [finite(state)]
+        later = trace.mark()
+        after_first = [finite(state)]
+        repeat = []
         if substeps > 1:
             # The later substeps run as one traced substep in a loop.
             subs = tuple(trace.local(f"sub{i}", v) for i, v in enumerate(_values(state)))
-            rk4 += assign([s.name for s in subs], state)
-            mark = len(trace.lines)
+            after_first += assign([s.name for s in subs], state)
             state = contextvars.Context().run(substep, subs)
-            repeat = trace.lines[mark:] + [finite(state)] + assign([s.name for s in subs], state)
-            rk4 += [f"for _ in range({substeps - 1}):", *(f"    {line}" for line in repeat)]
+            repeat = [finite(state), *assign([s.name for s in subs], state)]
             state = subs
         if trace.raised:
             return None
@@ -398,25 +405,36 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
         # The state is logged as a plain tuple, equal to the per-step body's
         # checked state: the cyclic collector never untracks an instance of
         # a tuple subclass, so it would traverse every logged state again.
-        body = [
-            f"t = k * {config.control_period!r}",
-            *lookup,
-            "try:",
-            *(f"    {line}" for line in [*assembly, "active = None", *qp, *rk4]),
-            "except Exception:",
-            "    return k, x",
+        tail = [
             *(f"{column}_append({value})" for column, value in records.items()),
             *assign(map(op, xs), state),
             f"x = {op(xs)}",
+        ]
+        trace.simplify([*qp, *after_first, *repeat, *tail])
+        rk4 = trace.render(first, later) + after_first
+        if substeps > 1:
+            rk4 += [f"for _ in range({substeps - 1}):",
+                    *(f"    {line}" for line in trace.render(later) + repeat)]
+        body = [
+            f"t = k * {config.control_period!r}",
+            *lookup,
+            *trace.render(0, assembly),
+            "try:",
+            *(f"    {line}" for line in [*trace.render(assembly, first), "active = None", *qp, *rk4]),
+            "except Exception:",
+            "    return k, x",
+            *tail,
         ]
         source = "\n    ".join([
             "def loop(k, x):",
             *(f"{column}_append = LOG.{column}.append" for column in records),
             f"{''.join(f'{op(v)}, ' for v in xs)}= x",
+            f"x = {op(xs)}",
             f"for k in range(k, {config.steps}):",
             *(f"    {line}" for line in body),
             f"return {config.steps}, x",
         ])
+        source = trace.resolve(source)
         namespace.update(trace.constants)
         exec(source, namespace)
         # Popped, so that the function and its globals form no reference
@@ -493,7 +511,8 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
             break
 
         log.times.append(t)
-        log.states.append(x)
+        # A plain tuple, as the generated loop logs (see _compile_loop).
+        log.states.append(tuple(x))
         log.controls.append(result.u)
         log.slacks.append(result.slack)
         log.disturbances.append(d)

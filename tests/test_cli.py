@@ -480,3 +480,14 @@ class TestCommandLine:
         assert _split_values("0.2,1,10,20") == [0.2, 1, 10, 20]
         assert _split_values("[1,2],[3,4]") == [[1, 2], [3, 4]]
         assert _split_values("abc") == ["abc"]
+
+
+@pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+def test_a_run_writes_nothing_to_stdout_or_stderr(mode, tmp_path, capfd, monkeypatch):
+    # Callers such as a benchmark read a result line from stdout; the run
+    # itself, traced or falling back step by step, prints nothing.
+    doc = case_document(1, mode, horizon=1.0)
+    cli.execute_document(doc, out_dir=tmp_path / "traced")
+    monkeypatch.setattr(simulate, "_compile_loop", lambda config, log: None)
+    cli.execute_document(doc, out_dir=tmp_path / "fallback")
+    assert capfd.readouterr() == ("", "")

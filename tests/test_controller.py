@@ -320,6 +320,17 @@ class TestCompiledStep:
             d = evaluate_signal(config.disturbance, t)
             x = integrate_step(system, x, result.u, d, config.control_period)
 
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_states_with_signed_zero_intermediates(self, mode):
+        # v_f = 20 and 35 zero the speed gap to the lead and to the desired
+        # speed, v_f = ±0 the drag's products and D = 10 the distance
+        # margin: traced intermediates that read them are ±0.0, where the
+        # simplified step must keep the generic step's bits.
+        spec = build_acc_controller(PARAMS, mode)
+        for D in (10.0, 100.0, 150.0):
+            for v in (0.0, -0.0, 20.0, 35.0):
+                assert_same_as_generic(spec, (D, v))
+
     def test_guard_breach_runs_the_generic_step_with_its_events(self):
         spec = build_acc_controller(PARAMS, "adrcbf")
         assert_same_as_generic(spec, (100.0, 13.89))

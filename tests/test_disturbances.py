@@ -380,3 +380,17 @@ class TestSpecValidation:
     def test_spec_requires_a_channel(self):
         with pytest.raises((ValueError, DisturbanceError)):
             SignalSpec(channels=())
+
+
+def test_draws_are_plain_floats_as_converted_one_by_one():
+    spec = case_disturbance_spec(3, seed=12345)
+    realization = realize(spec, 2.0)
+    for ci, terms in enumerate(spec.channels):
+        for ti, term in enumerate(terms):
+            if not isinstance(term, UniformNoise):
+                continue
+            seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(ci, ti))
+            values = np.random.Generator(np.random.Philox(seq)).uniform(term.low, term.high, 2000)
+            drawn = realization.draws[ci][ti]
+            assert all(type(v) is float for v in drawn)
+            assert repr(drawn) == repr(tuple(float(v) for v in values))

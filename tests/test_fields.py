@@ -1,9 +1,10 @@
 """Jet-evaluable scalar fields, Lie derivatives, and relative-degree checks."""
 
 import math
+from operator import add, mul, neg, sub, truediv
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drcbf.fields import (
@@ -336,22 +337,112 @@ class TestTrace:
 
     def test_bit_neutral_operations_are_not_recorded(self):
         # A float times 1.0 is the float itself, and a right-hand side seen
-        # before is the name it was assigned to; 0.0 + x is kept, since it
-        # turns -0.0 into 0.0.
+        # before, with the operands of + and * in either order, is the name
+        # it was assigned to; 0.0 + x is kept, since it turns -0.0 into 0.0,
+        # and so is an int times 1.0, which is a float.
         def evaluate(x, n):
             return (x * 1.0, 1.0 * x, x * 2.0, 2.0 * x, x * 2.0, 0.0 + x, n * 1.0, -x, -x)
 
         trace = _Trace()
         x, n = trace.input(-0.0), trace.input(3)
         traced = evaluate(x, n)
-        assert traced[0] is traced[1] is x
-        assert traced[2] is traced[4] and traced[7] is traced[8]
-        assert traced[2] is not traced[3]
-        assert traced[5] is not x and traced[6] is not n
         function = trace.function([f"return {trace.operand(traced)}"])
-        assert len(trace.lines) == 5
+        assert trace.render() == ["t2 = x0 * 2.0", "t5 = 0.0 + x0", "t6 = x1 * 1.0", "t7 = -x0"]
         for args in ((-0.0, 3), (2.5, -7), (math.inf, 0)):
             assert repr(function(*args)) == repr(evaluate(*args))
+
+
+# Straight-line programs for the simplification's property test: each step
+# applies an operation to two earlier values (inputs, results or constants,
+# an index taken modulo the values so far); the last results are the outputs.
+_OPERATIONS = {"+": add, "-": sub, "*": mul, "/": truediv, "neg": lambda a, _: neg(a)}
+_CONSTANTS = (0.0, -0.0, 1.0, -1.0, 0.5)
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan,
+            1.5, -3.25, 7.0, 1e-3)
+_OPERAND = st.one_of(st.integers(0, 40), st.sampled_from(_CONSTANTS))
+_PROGRAM = st.tuples(
+    st.integers(1, 3),
+    st.lists(st.tuples(st.sampled_from(sorted(_OPERATIONS)), _OPERAND, _OPERAND),
+             min_size=1, max_size=14),
+    st.lists(st.booleans(), min_size=1, max_size=4),
+)
+
+
+def _run(program, inputs):
+    """Every value of program on inputs: inputs first, then each result."""
+    _, steps, _ = program
+    values = list(inputs)
+    for kind, *operands in steps:
+        a, b = (values[o % len(values)] if o.__class__ is int else o for o in operands)
+        values.append(_OPERATIONS[kind](a, b))
+    return values
+
+
+class TestSimplification:
+    """The trace's simplification keeps every result bit for bit, or the
+    simplified function declines where the evaluation's checks fail."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PROGRAM, st.lists(st.lists(st.sampled_from(_SPECIAL), min_size=3, max_size=3),
+                              min_size=1, max_size=12))
+    def test_same_bits_or_decline(self, program, cases):
+        n_inputs, _, checks = program
+        start = (1.5, -2.5, 3.0)[:n_inputs]
+        try:
+            everything = _run(program, start)
+        except ZeroDivisionError:
+            return
+        trace = _Trace()
+        traced = _run(program, trace.inputs(start))
+        outputs = traced[-len(checks):]
+        checked = [v for v, check in zip(outputs, checks) if check]
+        tail = [f"if {trace.check(checked)}: return {trace.operand(tuple(outputs))}",
+                "raise _Deopt"]
+        function = trace.function(tail, declines=True)
+        # Where every value is finite, no check can fail.
+        if all(map(math.isfinite, everything)):
+            assert function(start) is not None
+        for case in cases:
+            inputs = tuple(case[:n_inputs])
+            got = function(inputs)
+            if got is None:
+                continue
+            want = _run(program, inputs)[-len(checks):]
+            assert all(math.isfinite(v) for v, check in zip(want, checks) if check)
+            assert repr(got) == repr(tuple(want)), (inputs, trace.render())
+
+    @pytest.mark.parametrize("check", ["other", "none", "nothing"])
+    def test_a_zero_product_folds_only_where_a_check_sees_its_factor(self, check):
+        # x * 0.0 is a zero for finite x only, so 1.0 + x * 0.0 is 1.0 where
+        # a non-finite x makes the function decline: x reaches the check on
+        # x * y, or is added to a check that reads nothing else. With no
+        # check at all, the operation is kept.
+        trace = _Trace()
+        x, y = trace.inputs((2.0, 3.0))
+        out, other = 1.0 + x * 0.0, x * y
+        test = {"other": lambda: trace.check([other]), "none": lambda: trace.check([]),
+                "nothing": lambda: "True"}[check]()
+        function = trace.function(
+            [f"if {test}: return {trace.operand((out, other))}", "raise _Deopt"], declines=True
+        )
+        folded = check != "nothing"
+        assert (trace.render() == ["t2 = x0 * x1"]) is folded
+        assert function((-0.0, 3.0)) == (1.0, -0.0)
+        at_inf = function((math.inf, 3.0))
+        assert at_inf is None if folded else math.isnan(at_inf[0])
+
+    def test_an_unchecked_zero_factor_is_checked_through_its_operand(self):
+        # Nothing reads -x0 but (-x0) * 0.0; the check takes x0, which -x0
+        # cannot be non-finite without.
+        trace = _Trace()
+        (x,) = trace.inputs((2.0,))
+        out = 1.0 + (-x) * 0.0
+        function = trace.function([f"if {trace.check([])}: return {trace.operand(out)}"],
+                                  declines=True)
+        assert trace.render() == []
+        assert trace.resolve("_finite0") == "isfinite(x0)"
+        assert function((5.0,)) == 1.0
+        assert function((math.nan,)) is None
 
 
 class TestGeneratedSources:
@@ -363,8 +454,9 @@ class TestGeneratedSources:
         function = _Trace.function
 
         def spy(trace, *args, **kwargs):
-            recorded.append(list(trace.lines))
-            return function(trace, *args, **kwargs)
+            traced = function(trace, *args, **kwargs)
+            recorded.append(trace.render())
+            return traced
 
         monkeypatch.setattr(_Trace, "function", spy)
         config = build_study(mode, case=1, horizon=0.01, verify=False)
@@ -373,8 +465,12 @@ class TestGeneratedSources:
         assert len(recorded) == 2
         for lines in recorded:
             rhs = [line.split(" = ", 1)[1] for line in lines if not line.startswith("if ")]
-            assert len(rhs) > 50
-            assert len(set(rhs)) == len(rhs)
+            assert len(rhs) > 40
+            keys = set()
             for expression in rhs:
                 left, symbol, right = (expression.split(" ") + ["", ""])[:3]
-                assert not (symbol == "*" and "1.0" in (left, right)), expression
+                assert not (symbol in ("*", "/") and right == "1.0"), expression
+                assert not (symbol == "*" and left == "1.0"), expression
+                # + and * commute: either order is the same right-hand side.
+                keys.add((symbol, *sorted((left, right))) if symbol in ("+", "*") else expression)
+            assert len(keys) == len(rhs)

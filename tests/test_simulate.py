@@ -379,6 +379,16 @@ class TestCompiledRk4:
             assert x_next.__class__ is _CheckedState
             x = x_next
 
+    def test_signed_zero_states_and_inputs(self):
+        # Speeds of 0, -0, 20 and 35 and zero controls and disturbances of
+        # either sign make traced intermediates ±0.0.
+        system = build_study("drcbf", case=1, horizon=0.01, verify=False).system
+        for v in (0.0, -0.0, 20.0, 35.0):
+            for u in ((0.0,), (-0.0,), (1.5,)):
+                for d in ((0.0, -0.0), (-0.0, 0.0), (0.3, -0.2)):
+                    same_as_generic(system, (10.0, v), u, d, 1e-3)
+                    assert served(system, (10.0, v), u, d, 1e-3)
+
     def test_triple_integrator_random_inputs(self):
         system = triple_integrator()
         rng = np.random.default_rng(11)
@@ -731,6 +741,22 @@ class TestGeneratedLoop:
         assert log.failed
         assert "integration fault" in log.failure_reason
         assert log.metadata["fallback_steps"] == (1 if traced else len(log))
+
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_runs_from_signed_zero_states(self, mode):
+        for v in (0.0, -0.0, 20.0, 35.0):
+            params = AccParameters(initial_state=(100.0, v))
+            log = assert_same_run(build_study(mode, case=1, params=params, horizon=0.2, verify=False))
+            assert log.metadata["fallback_steps"] == 0
+
+    def test_logged_states_are_plain_tuples(self):
+        # The collector never untracks a tuple subclass: both the generated
+        # loop and the per-step body log plain tuples, the initial state too.
+        for config in (build_study("drcbf", case=1, horizon=0.05, verify=False),
+                       untraceable_objective_config(0.05)):
+            log = run_simulation(config)
+            assert len(log.states) == 50
+            assert all(type(state) is tuple for state in log.states)
 
     def test_untraceable_objective(self):
         log = assert_same_run(untraceable_objective_config(0.5))

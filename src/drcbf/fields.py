@@ -405,12 +405,10 @@ class _Trace:
         """The position of the next operation, for render()."""
         return len(self.ops)
 
-    def record(self, kind, template, operands, value, never_negative_zero=False):
+    def record(self, kind, template, operands, value):
         """A traced float holding value, the result of an operation."""
         name = f"t{len(self.ops)}"
         self.ops.append((len(self.ops), name, kind, template, operands))
-        if never_negative_zero:
-            self.never_negative_zero.add(name)
         return self._traced(name, value)
 
     def call(self, template, function, operands, never_negative_zero=False):
@@ -420,7 +418,10 @@ class _Trace:
         if not any(v.__class__ is _Traced for v in operands):
             return function(*values)
         keys = tuple(v.name if v.__class__ is _Traced else v for v in operands)
-        return self.record("call", template, keys, function(*values), never_negative_zero)
+        result = self.record("call", template, keys, function(*values))
+        if never_negative_zero:
+            self.never_negative_zero.add(result.name)
+        return result
 
     def guard(self, template, operands):
         """Record the comparison template, which raises _Deopt."""
@@ -460,15 +461,18 @@ class _Trace:
             defined = {op[1]: op for op in kept if op[1] is not None}
             extra = [[] for _ in self.checks]
             missing = set()
-            for name in assumed:
+            for name in sorted(assumed):
+                if name in reach:
+                    continue
                 nodes, steps = [name], []
-                while _implied(defined.get(nodes[-1])):
-                    y, *step = _implied(defined[nodes[-1]])
-                    nodes.append(y)
-                    steps.append(step)
-                # The farthest operand that name cannot be non-finite
-                # without, preferring one that reaches a check.
-                roots = [y for j, y in enumerate(nodes) if _stays_finite(steps[j - 1::-1] if j else ())]
+                step = _implied(defined.get(name))
+                while step:
+                    nodes.append(step[0])
+                    steps.append(step[1:])
+                    step = _implied(defined.get(step[0]))
+                # The operands that name cannot be non-finite without: one
+                # that reaches a check, or else the farthest.
+                roots = [y for j, y in enumerate(nodes) if _stays_finite(steps[:j][::-1])]
                 if any(y in reach for y in roots):
                     continue
                 root = roots[-1]
@@ -480,7 +484,7 @@ class _Trace:
                     extra[site].append(root)
             if not missing:
                 self.replaced, self.extra = replaced, extra
-                self.kept = _prune(kept, live | {n for names in extra for n in names})
+                self.kept = _prune(kept, live | {n for added in extra for n in added})
                 return
             blocked |= missing
 
@@ -523,17 +527,21 @@ class _Trace:
         def rewrite(kind, args):
             # The replacement of the result and the names it takes as finite,
             # or None.
-            if kind in _UNARY or kind in _ARITHMETIC:
-                if not any(a.__class__ is str for a in args):
-                    try:
-                        return (_UNARY.get(kind) or _ARITHMETIC[kind])(*args), _NO_NAMES
-                    except ArithmeticError:
-                        return None
-            if kind == "abs" and zero(args[0]) is not None:
-                return 0.0, zero(args[0])
-            if kind not in _ARITHMETIC:
+            if kind == "call":
+                return None
+            if kind in _UNARY:
+                (a,) = args
+                if a.__class__ is not str:
+                    return _UNARY[kind](a), _NO_NAMES
+                if kind == "abs" and a in zeros:
+                    return 0.0, zeros[a]
                 return None
             a, b = args
+            if a.__class__ is not str and b.__class__ is not str:
+                try:
+                    return _ARITHMETIC[kind](a, b), _NO_NAMES
+                except ArithmeticError:
+                    return None
             if kind == "+":
                 for p, q in ((a, b), (b, a)):
                     if is_float(p):
@@ -586,9 +594,10 @@ class _Trace:
                     return zq
             return None
 
-        for op in self.ops:
-            index, name, kind, template, args = op
-            args = tuple(replaced.get(a, a) if a.__class__ is str else a for a in args)
+        get = replaced.get
+        for index, name, kind, template, args in self.ops:
+            # Constants are no keys of replaced: they come back as they are.
+            args = tuple([get(a, a) for a in args])
             if name is None:
                 kept.append((index, name, kind, template, args))
                 continue

@@ -214,7 +214,8 @@ def _trace_rk4(system: ControlAffineSystem, x, u, d, h):
     reciprocal raises instead of clamping. The function returns a state of
     n finite plain floats as a checked state, and any other as a tuple,
     except a non-finite one of a step with a recorded comparison, for which
-    it raises _Deopt. If anything fails, the system keeps the generic step.
+    it raises _Deopt, as it does where a check the trace's simplification
+    added fails. If anything fails, the system keeps the generic step.
     """
     trace = _Trace()
     xs, us, ds = trace.inputs(x), trace.inputs(u), trace.inputs(d)
@@ -230,15 +231,17 @@ def _trace_rk4(system: ControlAffineSystem, x, u, d, h):
         if trace.raised:
             return False
         state = trace.operand(outputs)
-        floats = " and ".join(f"({v}).__class__ is float" for v in map(trace.operand, outputs))
-        # Where a recorded comparison reads a value that the simplification
-        # made finite, the generic step may branch otherwise: with one, a
-        # non-finite state goes to the generic step, to fault there.
-        compared = any(name is None for _, name, *_ in trace.ops)
-        tail = [
-            f"if {trace.check(outputs)}: return _CheckedState({state}) if {floats} else {state}",
-            "raise _Deopt" if compared else f"return {state}",
-        ]
+        entries = list(map(trace.operand, outputs))
+        floats = " and ".join(f"({v}).__class__ is float" for v in entries)
+        tail = [f"if {trace.check(outputs)}: return _CheckedState({state}) if {floats} else {state}"]
+        # A non-finite state faults in the generic step too, unless a
+        # recorded comparison reads a value that the simplification made
+        # finite, where the generic step may branch otherwise. A check that
+        # fails on a name the simplification added, with a finite state, is
+        # left to the generic step as well.
+        if not any(name is None for _, name, *_ in trace.ops):
+            tail.append(f"if not ({' and '.join(f'isfinite({v})' for v in entries)}): return {state}")
+        tail.append("raise _Deopt")
         return trace.function(tail, {"_CheckedState": _CheckedState})
     except Exception:
         return False

@@ -389,6 +389,22 @@ class TestCompiledRk4:
                     same_as_generic(system, (10.0, v), u, d, 1e-3)
                     assert served(system, (10.0, v), u, d, 1e-3)
 
+    def test_a_folded_overflow_faults_as_the_generic_step(self):
+        # x0 * x0 is read only through (x0 * x0) * 0.0, which the trace folds
+        # and checks x0 * x0 for instead: where it overflows, the state is
+        # finite but the generic step faults on 1.0 + nan.
+        system = ControlAffineSystem(
+            n=1, p=1, q=1,
+            f=lambda x: (x[0] * x[0] * 0.0 + 1.0,),
+            g=lambda x: ((1.0,),),
+            h=lambda x: ((1.0,),),
+            ird_m=1, drd_r=1,
+        )
+        assert same_as_generic(system, (1.0,), (0.5,), (0.0,), 0.1).__class__ is _CheckedState
+        assert served(system, (-3.0,), (0.5,), (0.25,), 0.1)
+        assert isinstance(same_as_generic(system, (1e200,), (0.5,), (0.0,), 0.1), IntegrationFault)
+        assert not served(system, (1e200,), (0.5,), (0.0,), 0.1)
+
     def test_triple_integrator_random_inputs(self):
         system = triple_integrator()
         rng = np.random.default_rng(11)

@@ -274,6 +274,11 @@ def _negative_zero(c):
     return c.__class__ is float and c == 0.0 and copysign(1.0, c) < 0.0
 
 
+def _positive_zero(c):
+    # An int 0 subtracts as 0.0 does.
+    return c.__class__ is not str and c == 0.0 and copysign(1.0, c) > 0.0
+
+
 class _Trace:
     """The float operations of one evaluation, as Python source.
 
@@ -551,7 +556,7 @@ class _Trace:
                             return p, zero(q)
             elif kind == "-":
                 if is_float(a):
-                    if b.__class__ is float and b == 0.0 and not _negative_zero(b):
+                    if _positive_zero(b):
                         return a, _NO_NAMES
                     if zero(b) is not None:
                         names, flip = sign(b)
@@ -633,11 +638,11 @@ class _Trace:
             ):
                 non_negative.add(name)
                 never_negative_zero.add(name)
-            elif (kind == "+" and any(map(never_minus_zero, args))) or (
-                kind == "-" and (never_minus_zero(args[0]) or (
-                    args[1].__class__ is not str and not (args[1] == 0.0 and not _negative_zero(args[1]))
-                ))
-            ):
+            elif kind == "+" and any(map(never_minus_zero, args)):
+                never_negative_zero.add(name)
+            elif kind == "-" and (never_minus_zero(args[0]) or (
+                args[1].__class__ is not str and not _positive_zero(args[1])
+            )):
                 never_negative_zero.add(name)
         return replaced, kept, assumed
 
@@ -718,10 +723,11 @@ def _prune(kept, live):
 
 
 def _implied(op):
-    """(y, scale, shift) for the one name y that op reads, if its result is
-    at most scale * |y| + shift in magnitude before rounding and non-finite
-    wherever y is: op negates, takes abs, adds a constant, doubles y,
-    multiplies by a constant or divides by a non-zero one. None otherwise."""
+    """(y, scale, shift) for the one name y that op reads, if op negates,
+    takes abs, adds a constant, doubles y, multiplies by a constant or
+    divides by a non-zero one: its result is then at most scale * |y| +
+    shift in magnitude before rounding, so finite wherever y and that bound
+    are. None otherwise."""
     if op is None:
         return None
     _, _, kind, _, args = op

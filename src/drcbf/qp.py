@@ -23,10 +23,12 @@ active set's LDL' factor, multipliers and checks, with no loop over
 subsets or rows. It performs the same float operations in the same order
 as the generic loop it replaces (kept as reference_solve_qp in the test
 oracles), so its solutions are bit-identical to that loop's. The lines of
-the enumeration come from one generator, _kernel_lines, which the compiled
-control step (drcbf.controller) shares: there the factor of Q is baked in
-as literals per controller spec, the data are the traced step's values and
-an accepted active set builds the step's result instead of a QpSolution.
+the enumeration come from one generator, _kernel_lines, after the prelude
+of _prelude; the compiled control step (drcbf.controller) shares both:
+there the factor of Q is baked in as literals per controller spec, the
+data are the traced step's values, the prelude is recorded on its trace
+(which folds the products with the factor's zeros) and an accepted active
+set builds the step's result instead of a QpSolution.
 """
 
 from __future__ import annotations

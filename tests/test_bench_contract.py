@@ -4,8 +4,9 @@ Each workload of BENCHMARK.json runs once untraced and once traced
 (--trace 0 and 1), at --seconds 0, the way the benchmark runs it:
 perfbench/run.py from a fresh directory holding only a link to src. Its
 last line of standard output must be one strict-JSON result with every
-metric finite (the end-to-end metrics untraced, the per-layer ones traced),
-and it must leave nothing on standard error and no process behind.
+metric finite (the end-to-end metrics untraced, the per-layer ones traced)
+and none marked absent, and it must leave nothing on standard error and no
+process behind.
 """
 
 import json
@@ -76,3 +77,7 @@ def test_workload_ends_in_one_clean_result_line(workload, trace, tmp_path):
     assert set(metrics) == {m["name"] for m in BENCHMARK["per_layer" if trace else "end_to_end"]}
     for name, metric in metrics.items():
         assert math.isfinite(metric["value"]), name
+    # A per-layer metric is absent where a name it wraps, or the shape its
+    # count hook reads, no longer exists in the program.
+    absent = sorted(name for name, metric in metrics.items() if metric.get("absent"))
+    assert not absent, f"absent per-layer metrics: {absent}"

@@ -13,6 +13,7 @@ choices against the least-conservative ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from .controller import ClfSpec, ControllerSpec
@@ -469,14 +470,15 @@ def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:
     slack_max and slack_mean describe the stability row's slack over the
     steps whose QP was solved (None if none was).
     """
-    if not log.times:
+    records = len(log)
+    if not records:
         return {
             "records": 0,
             "failed": log.failed,
             "failure_reason": log.failure_reason,
         }
-    gaps = [s[0] for s in log.states]
-    speeds = [s[1] for s in log.states]
+    gaps = log.column("states", 0)
+    speeds = log.column("states", 1)
     min_distance = min(gaps)
     min_margin = min_distance - params.min_distance
     tail = max(1, int(len(gaps) * STEADY_WINDOW_FRACTION))
@@ -494,11 +496,12 @@ def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:
         )
     else:
         gap_drift = speed_drift = 0.0
-    min_phi = min(min(row) for row in log.phi)
-    applied = [u[0] for u in log.controls if u]
-    slacks = [s for s, status in zip(log.slacks, log.qp_statuses) if status == "optimal"]
+    min_phi = min(map(min, zip(*(log.column("phi", i) for i in range(log.levels)))))
+    solved = [status == "optimal" for status in log.qp_statuses]
+    applied = list(compress(log.column("controls"), solved))
+    slacks = list(compress(log.column("slacks"), solved))
     return {
-        "records": len(log.times),
+        "records": records,
         "failed": log.failed,
         "failure_reason": log.failure_reason,
         "min_distance": min_distance,
@@ -512,7 +515,7 @@ def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:
         "steady": gap_drift <= STEADY_MEAN_DRIFT and speed_drift <= STEADY_MEAN_DRIFT,
         "final_distance": log.final_state[0] if log.final_state else None,
         "guard_event_total": sum(log.guard_event_counts),
-        "safety_binding_fraction": sum(1 in s for s in log.active_sets) / len(log.times),
+        "safety_binding_fraction": sum(1 in s for s in log.active_sets) / records,
         "mean_control": sum(applied) / len(applied) if applied else None,
         "slack_max": max(slacks) if slacks else None,
         "slack_mean": sum(slacks) / len(slacks) if slacks else None,

@@ -21,7 +21,6 @@ import concurrent.futures
 import copy
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -291,37 +290,24 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_trajectory_csv(path, log, phi_width: int = 2) -> None:
-    """One row per control step: t, D, v_f, u, slack, d_u, d_m, the cascade's
-    set-membership values, both constraint residuals, and the solver status."""
-    if log.phi:
-        phi_width = len(log.phi[0])
+def write_trajectory_csv(path, log) -> None:
+    """One row per control step of an ACC run's log: t, D, v_f, u, slack,
+    d_u, d_m, the cascade's set-membership values, both constraint
+    residuals, and the solver status."""
+    if (log.n, log.p, log.q) != (2, 1, 2):
+        raise ValueError(f"not an ACC log: n, p, q = {log.n}, {log.p}, {log.q}")
     header = (
         ["t", "D", "v_f", "u", "slack", "d_u", "d_m"]
-        + [f"phi_{i}" for i in range(phi_width)]
+        + [f"phi_{i}" for i in range(log.levels)]
         + ["cbf_residual", "clf_residual", "qp_status"]
     )
-    # One format per row: "%.17g" writes each figure as format(v, ".17g")
-    # does, and no field needs quoting. An unsolved step has no control.
+    # One format per log row, whose floats are the columns above in order:
+    # "%.17g" writes each figure as format(v, ".17g") does, and no field
+    # needs quoting. An unsolved step's control is logged as NaN.
     row = "%.17g," * (len(header) - 1) + "%s\r\n"
-    rows = zip(
-        log.times,
-        log.states,
-        log.controls,
-        log.slacks,
-        log.disturbances,
-        log.phi,
-        log.cbf_residuals,
-        log.clf_residuals,
-        log.qp_statuses,
-    )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(
-            row
-            % (t, x[0], x[1], u[0] if u else math.nan, slack, d[0], d[1], *phi, cbf, clf, status)
-            for t, x, u, slack, d, phi, cbf, clf, status in rows
-        )
+        fh.writelines(map(row.__mod__, log.rows(log.qp_statuses)))
 
 
 def read_trajectory_csv(path) -> dict:
@@ -441,9 +427,9 @@ def _svg_line_plot(
 
 
 def write_plots(directory: Path, log, params: AccParameters, label: str) -> None:
-    times = log.times
-    speeds = [s[1] for s in log.states]
-    gaps = [s[0] for s in log.states]
+    times = log.column("times")
+    speeds = log.column("states", 1)
+    gaps = log.column("states", 0)
     speed_svg = _svg_line_plot(
         "Follower speed",
         "time [s]",
@@ -505,7 +491,7 @@ def execute_document(doc: dict, out_dir=None) -> tuple:
     with open(directory / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if plots and log.times:
+    if plots and len(log):
         write_plots(directory, log, params, meta["controller"])
     return code, summary
 

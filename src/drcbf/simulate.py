@@ -14,7 +14,7 @@ fault from a clean run that merely violated safety.
 
 Each run compiles its loop into one generated function (see _compile_loop):
 per step the disturbance lookup, the traced assembly and QP of the control
-step, the traced RK4 substeps and the log appends, with no call of
+step, the traced RK4 substeps and the step's record, with no call of
 evaluate, control_step or integrate_step. The first step the generated loop
 cannot take bit for bit (a guard breach, a fault, an untraceable run) goes
 through the per-step body, which calls those three once per step and
@@ -25,8 +25,10 @@ metadata counts those steps as fallback_steps.
 from __future__ import annotations
 
 import contextvars
+from array import array
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from itertools import accumulate
+from math import isfinite, nan, sqrt
 from operator import neg
 from typing import Optional
 
@@ -134,25 +136,40 @@ class SimulationConfig:
         return self._steps
 
 
+# The float fields of one step's row, in their order in TrajectoryLog.values.
+_ROW_FIELDS = (
+    "times", "states", "controls", "slacks", "disturbances", "phi",
+    "cbf_residuals", "clf_residuals",
+)
+
+
 @dataclass
 class TrajectoryLog:
-    """Columnar per-step record plus run outcome.
+    """Per-step record plus run outcome.
 
-    All lists share one length: entry i belongs to the step that started at
-    times[i] from states[i]. active_sets holds each step's QP active set
-    (row 0 the stability row, row 1 the safety row; empty when unsolved).
+    Every float of a step is one row of values, a flat array of doubles:
+    the time, the n state entries, the p control entries (NaN for an
+    unsolved step), the slack, the q disturbance entries, the levels
+    cascade membership values and the two residuals, in that order (see
+    row). qp_statuses, guard_event_counts and active_sets are lists with
+    one entry per step; active_sets holds each step's QP active set (row 0
+    the stability row, row 1 the safety row; empty when unsolved).
+
+    column(name, i) reads entry i of one field for every step; rows() reads
+    whole rows. The read-only properties times, states, controls, slacks,
+    disturbances, phi, cbf_residuals and clf_residuals build per-step lists
+    of floats and plain tuples (an unsolved step's control is ()); readers
+    of a whole run should use the columns.
+
     failed marks a runtime fault (solver or integrator); a safety violation
     is visible in the logged values instead.
     """
 
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    controls: list = field(default_factory=list)
-    slacks: list = field(default_factory=list)
-    disturbances: list = field(default_factory=list)
-    phi: list = field(default_factory=list)
-    cbf_residuals: list = field(default_factory=list)
-    clf_residuals: list = field(default_factory=list)
+    n: int = 0
+    p: int = 0
+    q: int = 0
+    levels: int = 0
+    values: array = field(default_factory=lambda: array("d"))
     qp_statuses: list = field(default_factory=list)
     guard_event_counts: list = field(default_factory=list)
     active_sets: list = field(default_factory=list)
@@ -162,8 +179,82 @@ class TrajectoryLog:
     final_state: tuple = ()
     final_time: float = 0.0
 
+    def __post_init__(self):
+        widths = (1, self.n, self.p, 1, self.q, self.levels, 1, 1)
+        self.width = sum(widths)
+        self._fields = dict(zip(_ROW_FIELDS, zip(accumulate(widths, initial=0), widths)))
+
     def __len__(self):
-        return len(self.times)
+        return len(self.qp_statuses)
+
+    @staticmethod
+    def row(t, x, u, slack, d, phi, cbf_residual, clf_residual) -> tuple:
+        """A step's floats in the order of values."""
+        return (t, *x, *u, slack, *d, *phi, cbf_residual, clf_residual)
+
+    def record(self, t, x, u, slack, d, phi, cbf_residual, clf_residual,
+               qp_status, guard_events, active_set) -> None:
+        """Append one step; u is () for an unsolved step, guard_events a count."""
+        row = self.row(t, x, u or (nan,) * self.p, slack, d, phi, cbf_residual, clf_residual)
+        if len(row) != self.width:
+            raise ValueError(f"a step of {len(row)} floats in a log of rows of {self.width}")
+        self.values.extend(row)
+        self.qp_statuses.append(qp_status)
+        self.guard_event_counts.append(guard_events)
+        self.active_sets.append(active_set)
+
+    def column(self, name: str, index: int = 0) -> array:
+        """Entry index of one field of the row (times, states, controls,
+        slacks, disturbances, phi, cbf_residuals or clf_residuals) at every
+        step."""
+        offset, width = self._fields[name]
+        if not 0 <= index < width:
+            raise IndexError(f"{name} has {width} entries per step")
+        return self.values[offset + index :: self.width]
+
+    def rows(self, *lists):
+        """Each step's row of values as one tuple, followed by the step's
+        entry of each of lists."""
+        return zip(*[iter(self.values)] * self.width, *lists)
+
+    def _tuples(self, name: str) -> list:
+        _, width = self._fields[name]
+        return list(zip(*(self.column(name, i) for i in range(width))))
+
+    @property
+    def times(self) -> list:
+        return self.column("times").tolist()
+
+    @property
+    def states(self) -> list:
+        return self._tuples("states")
+
+    @property
+    def controls(self) -> list:
+        return [
+            u if status == "optimal" else ()
+            for u, status in zip(self._tuples("controls"), self.qp_statuses)
+        ]
+
+    @property
+    def slacks(self) -> list:
+        return self.column("slacks").tolist()
+
+    @property
+    def disturbances(self) -> list:
+        return self._tuples("disturbances")
+
+    @property
+    def phi(self) -> list:
+        return self._tuples("phi")
+
+    @property
+    def cbf_residuals(self) -> list:
+        return self.column("cbf_residuals").tolist()
+
+    @property
+    def clf_residuals(self) -> list:
+        return self.column("clf_residuals").tolist()
 
 
 def _dynamics(system, x, u, d):
@@ -324,7 +415,9 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
     control step: the lookup, the traced assembly with the generic step's
     output checks, the QP's active-set enumeration (see
     drcbf.controller._step_lines), the traced RK4 substeps, each with the
-    finiteness check, and one record appended to each of log's columns.
+    finiteness check, and the step's record: its row of floats extended
+    onto log.values in one call, and one entry appended to each of log's
+    lists.
 
     loop(k, x) takes steps k, k + 1, ... from state x. It returns (k, x)
     with the step untouched where the per-step body has something else to
@@ -342,7 +435,7 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
     xs = trace.inputs(config.x0)
     # Besides the trace's x<i>, t<i> and K<i> and the QP's locals (see
     # drcbf.qp._kernel_lines), the loop's locals are k, t, x, active,
-    # sub<i> and <column>_append.
+    # sub<i>, values_extend and <list>_append.
     namespace = {"_Deopt": _Deopt, "sqrt": sqrt, "isfinite": isfinite, "LOG": log}
     lookup = []
     if realization is None:
@@ -398,18 +491,13 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
             state = subs
         if trace.raised:
             return None
-        cbf_residual, clf_residual = _residuals(trace, outputs, z)
-        records = {
-            "times": "t", "states": "x", "controls": op(us), "slacks": z[system.p],
-            "disturbances": op(ds), "phi": op(outputs[5]), "cbf_residuals": cbf_residual,
-            "clf_residuals": clf_residual, "qp_statuses": "'optimal'",
-            "guard_event_counts": "0", "active_sets": "active",
-        }
-        # The state is logged as a plain tuple, equal to the per-step body's
-        # checked state: the cyclic collector never untracks an instance of
-        # a tuple subclass, so it would traverse every logged state again.
+        row = log.row("t", map(op, xs), map(op, us), z[system.p], map(op, ds),
+                      map(op, outputs[5]), *_residuals(trace, outputs, z))
         tail = [
-            *(f"{column}_append({value})" for column, value in records.items()),
+            f"values_extend(({', '.join(row)}))",
+            "qp_statuses_append('optimal')",
+            "guard_event_counts_append(0)",
+            "active_sets_append(active)",
             *assign(map(op, xs), state),
             f"x = {op(xs)}",
         ]
@@ -430,9 +518,10 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
         ]
         source = "\n    ".join([
             "def loop(k, x):",
-            *(f"{column}_append = LOG.{column}.append" for column in records),
+            "values_extend = LOG.values.extend",
+            *(f"{column}_append = LOG.{column}.append"
+              for column in ("qp_statuses", "guard_event_counts", "active_sets")),
             f"{''.join(f'{op(v)}, ' for v in xs)}= x",
-            f"x = {op(xs)}",
             f"for k in range(k, {config.steps}):",
             *(f"    {line}" for line in body),
             f"return {config.steps}, x",
@@ -478,7 +567,7 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
     sub_h = dt / substeps
     zero_d = (0.0,) * system.q
 
-    log = TrajectoryLog()
+    log = TrajectoryLog(system.n, system.p, system.q, controller.chain.m)
     log.metadata = {
         "mode": controller.mode,
         "horizon": config.horizon,
@@ -513,18 +602,9 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
             log.failure_reason = f"controller fault at t={t}: {exc}"
             break
 
-        log.times.append(t)
-        # A plain tuple, as the generated loop logs (see _compile_loop).
-        log.states.append(tuple(x))
-        log.controls.append(result.u)
-        log.slacks.append(result.slack)
-        log.disturbances.append(d)
-        log.phi.append(result.phi)
-        log.cbf_residuals.append(result.cbf_residual)
-        log.clf_residuals.append(result.clf_residual)
-        log.qp_statuses.append(result.qp_status)
-        log.guard_event_counts.append(len(result.guard_events))
-        log.active_sets.append(result.active_set)
+        log.record(t, x, result.u, result.slack, d, result.phi, result.cbf_residual,
+                   result.clf_residual, result.qp_status, len(result.guard_events),
+                   result.active_set)
         guard_total += len(result.guard_events)
         if result.qp_status != "optimal":
             log.failed = True

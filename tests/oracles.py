@@ -571,8 +571,8 @@ def triple_integrator_drcbf_terms(x, ceiling, k, D):
 def reference_run(config):
     """run_simulation as one loop over the control steps: per step the
     disturbance lookup, one control_step and one integrate_step per substep,
-    then one record appended to each column of the log. The log's metadata
-    has no fallback_steps."""
+    then one record of the step in the log. The log's metadata has no
+    fallback_steps."""
     system = config.system
     controller = config.controller
     _initial_membership(controller, config.x0)
@@ -582,7 +582,7 @@ def reference_run(config):
     sub_h = dt / substeps
     zero_d = (0.0,) * system.q
 
-    log = TrajectoryLog()
+    log = TrajectoryLog(system.n, system.p, system.q, controller.chain.m)
     log.metadata = {
         "mode": controller.mode,
         "horizon": config.horizon,
@@ -610,17 +610,9 @@ def reference_run(config):
             log.failure_reason = f"controller fault at t={t}: {exc}"
             break
 
-        log.times.append(t)
-        log.states.append(x)
-        log.controls.append(result.u)
-        log.slacks.append(result.slack)
-        log.disturbances.append(d)
-        log.phi.append(result.phi)
-        log.cbf_residuals.append(result.cbf_residual)
-        log.clf_residuals.append(result.clf_residual)
-        log.qp_statuses.append(result.qp_status)
-        log.guard_event_counts.append(len(result.guard_events))
-        log.active_sets.append(result.active_set)
+        log.record(t, x, result.u, result.slack, d, result.phi, result.cbf_residual,
+                   result.clf_residual, result.qp_status, len(result.guard_events),
+                   result.active_set)
         guard_total += len(result.guard_events)
         if result.qp_status != "optimal":
             log.failed = True

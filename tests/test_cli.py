@@ -192,10 +192,10 @@ class TestExitCodes:
         assert summary["min_distance"] < 10.0
 
     def test_fault_exits_three_and_beats_violation(self, tmp_path, monkeypatch):
-        doc = quiet_doc(horizon=0.05)
+        doc = pushed_doc()
         config, _, _ = prepare_run(doc)
         log = run_simulation(config)
-        log.states[0] = (5.0, 20.0)
+        assert not log.failed
         log.failed = True
         log.failure_reason = "forced fault for the exit-code contract"
         monkeypatch.setattr("drcbf.cli.run_simulation", lambda _config: log)
@@ -265,11 +265,9 @@ class TestCsvContract:
         assert path.read_bytes() == expected.read_bytes()
 
     def test_unsolved_step_writes_nan_for_the_control(self, tmp_path):
-        log = TrajectoryLog(
-            times=[0.0], states=[(12.5, -0.0)], controls=[()], slacks=[math.nan],
-            disturbances=[(0.0, 1e16)], phi=[(5e-324, math.inf)],
-            cbf_residuals=[math.nan], clf_residuals=[-math.inf], qp_statuses=["infeasible"],
-        )
+        log = TrajectoryLog(n=2, p=1, q=2, levels=2)
+        log.record(0.0, (12.5, -0.0), (), math.nan, (0.0, 1e16), (5e-324, math.inf),
+                   math.nan, -math.inf, "infeasible", 0, ())
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(path, log)
         assert path.read_bytes().splitlines()[1] == (
@@ -317,12 +315,11 @@ class TestCsvContract:
         assert written["slack_mean"] == sum(slacks) / len(slacks)
 
     def test_slack_figures_skip_unsolved_steps(self):
-        log = TrajectoryLog(
-            times=[0.0, 1e-3], states=[(50.0, 20.0)] * 2, controls=[(1.0,), ()],
-            slacks=[0.5, math.nan], phi=[(1.0, 1.0)] * 2,
-            qp_statuses=["optimal", "infeasible"], active_sets=[(0,), ()],
-            guard_event_counts=[0, 0], final_state=(50.0, 20.0), failed=True,
-        )
+        log = TrajectoryLog(n=2, p=1, q=2, levels=2, final_state=(50.0, 20.0), failed=True)
+        log.record(0.0, (50.0, 20.0), (1.0,), 0.5, (0.0, 0.0), (1.0, 1.0),
+                   0.0, 0.0, "optimal", 0, (0,))
+        log.record(1e-3, (50.0, 20.0), (), math.nan, (0.0, 0.0), (1.0, 1.0),
+                   math.nan, math.nan, "infeasible", 0, ())
         summary = summarize_log(log, AccParameters())
         assert summary["slack_max"] == summary["slack_mean"] == 0.5
         log.qp_statuses[0] = "infeasible"

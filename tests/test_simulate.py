@@ -5,6 +5,7 @@ import gc
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -321,6 +322,22 @@ class TestRunSimulation:
         assert not log.failed
         assert len(calls) == 1000 * substeps
         assert set(calls) == {1e-3 / substeps}
+
+    def test_a_30_s_run_allocates_under_5_mb(self):
+        # The log packs each step's floats into one array of doubles: 11
+        # doubles plus three list slots, about 112 B a step, where a float
+        # object per value, four tuples and eleven list slots took 16 MB.
+        config = build_study("drcbf", case=1, horizon=30.0, verify=False)
+        run_simulation(config)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            log = run_simulation(config)
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 30000 and not log.failed
+        assert allocated <= 5_000_000
 
     def test_substep_refinement_preserves_grid(self):
         config = build_study(
@@ -766,8 +783,9 @@ class TestGeneratedLoop:
             assert log.metadata["fallback_steps"] == 0
 
     def test_logged_states_are_plain_tuples(self):
-        # The collector never untracks a tuple subclass: both the generated
-        # loop and the per-step body log plain tuples, the initial state too.
+        # log.states reads plain tuples of floats out of the log, for steps
+        # of the generated loop and of the per-step body, the initial state
+        # too.
         for config in (build_study("drcbf", case=1, horizon=0.05, verify=False),
                        untraceable_objective_config(0.05)):
             log = run_simulation(config)

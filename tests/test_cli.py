@@ -275,6 +275,12 @@ class TestCsvContract:
         )
         assert math.isnan(read_trajectory_csv(path)["u"][0])
 
+    def test_a_log_of_another_shape_is_refused(self, tmp_path):
+        # The CSV's columns are an ACC log's row: n, p, q = 2, 1, 2.
+        log = TrajectoryLog(n=3, p=1, q=2, levels=2)
+        with pytest.raises(ValueError, match="not an ACC log"):
+            write_trajectory_csv(tmp_path / "trajectory.csv", log)
+
     def test_safety_binding_fraction_matches_the_csv_residuals(self, tmp_path, monkeypatch):
         # The safety row binds exactly where its residual is zero: the
         # summary's share of steps with the row in the QP's active set must

@@ -1,4 +1,5 @@
-"""The byte-identity gate's reference: the nine default-seed study runs and one more.
+"""The byte-identity gate's reference: the nine default-seed study runs and one
+more, and the logs of seven runs that the study does not cover.
 
 Each run is one study case (1, 2, 3) under one controller (hocbf, drcbf,
 adrcbf) at the default seed and horizon, written by cli.execute_document.
@@ -9,6 +10,13 @@ and the summary figures of summary.json apart from the wall-clock time.
 The digests depend on the platform's libm (cases 2 and 3 use sinusoids) and
 on Python's float formatting, so the Python version and platform are kept
 with them.
+
+The seven logs are the triple integrator (cascade depth 3) and the planar
+double integrator (two inputs) of tests/oracles.py under each controller
+for 6 s, and case 1's adrcbf run for 5 s under the worst constant
+disturbance, whose guard breach the per-step body clamps. Their reference
+is the sha256 of the log's values and of the repr of its per-step lists,
+and the repr of its failure reason, metadata and final state.
 
     PYTHONPATH=src python tests/golden_study.py
 
@@ -23,7 +31,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+from drcbf.acc import build_study, case_bound
 from drcbf.cli import case_document, execute_document
+from drcbf.disturbances import Constant, SignalSpec
+from drcbf.simulate import run_simulation
+
+from oracles import planar_config, triple_integrator_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "study.json"
 CASES = (1, 2, 3)
@@ -31,6 +44,8 @@ MODES = ("hocbf", "drcbf", "adrcbf")
 ARTIFACTS = ("trajectory.csv", "distance.svg", "speed.svg")
 # Summary keys that are not a property of the run's output.
 UNSTABLE = ("wall_clock_seconds",)
+# The log's per-step lists, pinned by the sha256 of their repr.
+LOG_LISTS = ("qp_statuses", "guard_event_counts", "active_sets")
 
 
 def host() -> dict:
@@ -71,12 +86,48 @@ def study_runs(directory: Path) -> dict:
     return {name: study_run(doc, directory / name) for name, doc in documents().items()}
 
 
+def log_configs() -> dict:
+    configs = {
+        f"{plant}-{mode}": build(mode, 6.0)
+        for plant, build in (("triple-integrator", triple_integrator_config),
+                             ("planar", planar_config))
+        for mode in MODES
+    }
+    worst = SignalSpec(channels=((Constant(-case_bound(1)),), (Constant(0.0),)))
+    configs["case1-adrcbf-worst-constant"] = build_study(
+        "adrcbf", disturbance_spec=worst, horizon=5.0, verify=False
+    )
+    return configs
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def log_run(config) -> dict:
+    """Digests and reprs of one run's log."""
+    log = run_simulation(config)
+    pinned = {"values_sha256": sha256(log.values.tobytes())}
+    for name in LOG_LISTS:
+        pinned[f"{name}_sha256"] = sha256(repr(getattr(log, name)).encode())
+    for name in ("failure_reason", "metadata", "final_state"):
+        pinned[name] = repr(getattr(log, name))
+    return pinned
+
+
+def log_runs() -> dict:
+    return {name: log_run(config) for name, config in log_configs().items()}
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = study_runs(Path(tmp))
+    logs = log_runs()
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({**host(), "runs": runs}, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(runs)} runs)")
+    GOLDEN.write_text(
+        json.dumps({**host(), "runs": runs, "logs": logs}, indent=1, sort_keys=True) + "\n"
+    )
+    print(f"wrote {GOLDEN} ({len(runs)} runs, {len(logs)} logs)")
     return 0
 
 

@@ -30,15 +30,20 @@ from operator import mul
 
 import numpy as np
 
-from drcbf.controller import control_step
+from drcbf.adaptive import build_adrcbf_chain
+from drcbf.controller import ClfSpec, ControllerSpec, control_step
 from drcbf.disturbances import (
     _BOUNDARY_NUDGE,
     Constant,
     DisturbanceError,
+    SignalSpec,
     Sinusoid,
+    UniformNoise,
     evaluate as evaluate_signal,
+    realize,
 )
 from drcbf.fields import ControlAffineSystem, field_from_callable
+from drcbf.poles import coefficients_from_poles
 from drcbf.qp import (
     FEASIBILITY_TOL,
     MULTIPLIER_TOL,
@@ -46,9 +51,10 @@ from drcbf.qp import (
     QpSolution,
     _inverse_cholesky_factor,
 )
-from drcbf.robust import DegenerateConstraintError
+from drcbf.robust import DegenerateConstraintError, build_drcbf_chain, build_hocbf_chain
 from drcbf.simulate import (
     IntegrationFault,
+    SimulationConfig,
     TrajectoryLog,
     _initial_membership,
     integrate_step,
@@ -672,3 +678,74 @@ def disc_barrier(center, radius):
     cx, cy = center
     r2 = radius * radius
     return field_from_callable(lambda x: (x[0] - cx) * (x[0] - cx) + (x[1] - cy) * (x[1] - cy) - r2, 4)
+
+
+def triple_integrator_config(mode, horizon):
+    """The m = 3 plant driven from p = 6 towards a ceiling at p = 10, with held noise on
+    the unmatched channel and a sinusoid on the matched one."""
+    system = triple_integrator()
+    barrier = ceiling_barrier(10.0)
+    coeffs = coefficients_from_poles((1.0, 2.0, 3.0))
+    gains = (1.0, 2.0, 3.0)
+    chain = {
+        "hocbf": lambda: build_hocbf_chain(system, barrier, coeffs),
+        "drcbf": lambda: build_drcbf_chain(system, barrier, coeffs, gains, 0.5),
+        "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, gains, (1.0, 1.0, 1.0)),
+    }[mode]()
+    controller = ControllerSpec(
+        mode=mode,
+        chain=chain,
+        clf=ClfSpec(
+            V=field_from_callable(lambda x: (x[1] + x[2] - 1.0) * (x[1] + x[2] - 1.0), 3),
+            sigma=1.0,
+            slack_weight=10.0,
+        ),
+        objective_h=((1.0,),),
+        objective_f=lambda x: (0.5 * x[2],),
+    )
+    signal = SignalSpec(
+        channels=((UniformNoise(-0.3, 0.3, 0.01),), (Sinusoid(0.3, 2.0),)), seed=9
+    )
+    return SimulationConfig(
+        system=system,
+        controller=controller,
+        disturbance=realize(signal, horizon),
+        x0=(6.0, 0.0, 0.0),
+        horizon=horizon,
+        control_period=1e-3,
+    )
+
+
+def planar_config(mode, horizon):
+    """The p = 2 plant heading past a disc of radius 2 at (5, 0), tracking
+    v_x = 1 with a state-dependent objective row."""
+    system = planar_double_integrator()
+    barrier = disc_barrier((5.0, 0.0), 2.0)
+    coeffs = coefficients_from_poles((1.0, 2.0))
+    chain = {
+        "hocbf": lambda: build_hocbf_chain(system, barrier, coeffs),
+        "drcbf": lambda: build_drcbf_chain(system, barrier, coeffs, (5.0, 5.0), 0.3),
+        "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, (20.0, 20.0), (1.0, 1.0)),
+    }[mode]()
+    controller = ControllerSpec(
+        mode=mode,
+        chain=chain,
+        clf=ClfSpec(
+            V=field_from_callable(lambda x: (x[2] - 1.0) * (x[2] - 1.0) + x[3] * x[3], 4),
+            sigma=1.0,
+            slack_weight=10.0,
+        ),
+        objective_h=((1.0, 0.0), (0.0, 1.0)),
+        objective_f=lambda x: (0.1 * x[2], -0.1 * x[3]),
+    )
+    signal = SignalSpec(
+        channels=((UniformNoise(-0.2, 0.2, 0.01),), (Sinusoid(0.2, 3.0),)), seed=4
+    )
+    return SimulationConfig(
+        system=system,
+        controller=controller,
+        disturbance=realize(signal, horizon),
+        x0=(0.0, 0.3, 0.5, 0.0),
+        horizon=horizon,
+        control_period=1e-3,
+    )

@@ -23,17 +23,14 @@ from drcbf.fields import (
     field_from_callable,
     reciprocal_field,
 )
-from drcbf.adaptive import build_adrcbf_chain
 from drcbf.disturbances import (
     Constant,
     DisturbanceError,
     SignalSpec,
-    Sinusoid,
-    UniformNoise,
     realize,
 )
 from drcbf.poles import coefficients_from_poles
-from drcbf.robust import build_drcbf_chain, build_hocbf_chain
+from drcbf.robust import build_hocbf_chain
 from drcbf.simulate import (
     IntegrationFault,
     SimulationConfig,
@@ -54,12 +51,11 @@ from drcbf.acc import (
 import oracles
 from oracles import (
     assert_same_run,
-    ceiling_barrier,
-    disc_barrier,
-    planar_double_integrator,
+    planar_config,
     reference_run,
     rk4_reference,
     triple_integrator,
+    triple_integrator_config,
 )
 
 PARAMS = AccParameters()
@@ -632,77 +628,6 @@ class TestStepSizeRobustness:
         min_coarse = min(s[0] for s in coarse.states)
         min_fine = min(s[0] for s in fine.states)
         assert abs(min_coarse - min_fine) <= 1e-3
-
-
-def triple_integrator_config(mode, horizon):
-    """The m = 3 plant driven from p = 6 towards a ceiling at p = 10, with held noise on
-    the unmatched channel and a sinusoid on the matched one."""
-    system = triple_integrator()
-    barrier = ceiling_barrier(10.0)
-    coeffs = coefficients_from_poles((1.0, 2.0, 3.0))
-    gains = (1.0, 2.0, 3.0)
-    chain = {
-        "hocbf": lambda: build_hocbf_chain(system, barrier, coeffs),
-        "drcbf": lambda: build_drcbf_chain(system, barrier, coeffs, gains, 0.5),
-        "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, gains, (1.0, 1.0, 1.0)),
-    }[mode]()
-    controller = ControllerSpec(
-        mode=mode,
-        chain=chain,
-        clf=ClfSpec(
-            V=field_from_callable(lambda x: (x[1] + x[2] - 1.0) * (x[1] + x[2] - 1.0), 3),
-            sigma=1.0,
-            slack_weight=10.0,
-        ),
-        objective_h=((1.0,),),
-        objective_f=lambda x: (0.5 * x[2],),
-    )
-    signal = SignalSpec(
-        channels=((UniformNoise(-0.3, 0.3, 0.01),), (Sinusoid(0.3, 2.0),)), seed=9
-    )
-    return SimulationConfig(
-        system=system,
-        controller=controller,
-        disturbance=realize(signal, horizon),
-        x0=(6.0, 0.0, 0.0),
-        horizon=horizon,
-        control_period=1e-3,
-    )
-
-
-def planar_config(mode, horizon):
-    """The p = 2 plant heading past a disc of radius 2 at (5, 0), tracking
-    v_x = 1 with a state-dependent objective row."""
-    system = planar_double_integrator()
-    barrier = disc_barrier((5.0, 0.0), 2.0)
-    coeffs = coefficients_from_poles((1.0, 2.0))
-    chain = {
-        "hocbf": lambda: build_hocbf_chain(system, barrier, coeffs),
-        "drcbf": lambda: build_drcbf_chain(system, barrier, coeffs, (5.0, 5.0), 0.3),
-        "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, (20.0, 20.0), (1.0, 1.0)),
-    }[mode]()
-    controller = ControllerSpec(
-        mode=mode,
-        chain=chain,
-        clf=ClfSpec(
-            V=field_from_callable(lambda x: (x[2] - 1.0) * (x[2] - 1.0) + x[3] * x[3], 4),
-            sigma=1.0,
-            slack_weight=10.0,
-        ),
-        objective_h=((1.0, 0.0), (0.0, 1.0)),
-        objective_f=lambda x: (0.1 * x[2], -0.1 * x[3]),
-    )
-    signal = SignalSpec(
-        channels=((UniformNoise(-0.2, 0.2, 0.01),), (Sinusoid(0.2, 3.0),)), seed=4
-    )
-    return SimulationConfig(
-        system=system,
-        controller=controller,
-        disturbance=realize(signal, horizon),
-        x0=(0.0, 0.3, 0.5, 0.0),
-        horizon=horizon,
-        control_period=1e-3,
-    )
 
 
 def untraceable_objective_config(horizon):

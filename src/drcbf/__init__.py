@@ -11,19 +11,17 @@ from .fields import (
     clamped_guards,
     constant_field,
     coordinate_field,
-    derive_field,
     field_from_callable,
     lie_derivative_field,
     lie_f,
-    lie_g,
     lie_h,
-    lie_row_squared_norm_field,
     reciprocal_field,
     verify_relative_degree,
 )
 from .poles import CoefficientTable, PolePlacementError, PoleSet, coefficients_from_poles
 from .robust import (
     AffineControlConstraint,
+    BarrierCascade,
     BarrierConstructionError,
     ChainEvaluation,
     DegenerateConstraintError,
@@ -31,20 +29,14 @@ from .robust import (
     HocbfChain,
     build_drcbf_chain,
     build_hocbf_chain,
-    chain_membership,
-    drcbf_constraint,
-    hocbf_chain_constraint,
-    hocbf_constraint,
+    evaluate_with_clamping,
+    membership,
     optimal_k,
 )
 from .adaptive import (
     AdrcbfChain,
     BarrierEnergy,
-    BoundaryProximityError,
-    adrcbf_constraint,
     build_adrcbf_chain,
-    evaluate_with_clamping,
-    interior_membership,
     reciprocal_barrier_energy,
 )
 from .qp import QpProblem, QpSolution, QpValidationError, solve_qp

@@ -4,7 +4,8 @@ Where the robust cascade subtracts k_i D^2 per level, the adaptive one
 subtracts k_i Gamma_{i-1}(x) with Gamma_i = r_i B(phi_i) and B a barrier
 energy that blows up at the safe-set boundary. The resulting condition needs
 no disturbance bound at all: as the state approaches the boundary the energy
-diverges and the constraint tightens without limit.
+diverges and the constraint tightens without limit. The cascade is a
+drcbf.robust.BarrierCascade, evaluated and enforced as the other two are.
 """
 
 from __future__ import annotations
@@ -15,53 +16,31 @@ from typing import Callable, Sequence
 
 from .fields import (
     ControlAffineSystem,
-    DimensionMismatchError,
     SmoothScalarField,
+    _grad_times_matrix,
     _guarded_reciprocal,
     as_state,
-    clamped_guards,
-    reciprocal_field,
 )
 from .poles import CoefficientTable
 from .robust import (
-    AffineControlConstraint,
+    BarrierCascade,
     BarrierConstructionError,
-    ChainEvaluation,
-    _checked_constraint,
+    _check_barrier,
     _combination_fields,
-    _dot,
     _maybe_verify_degrees,
-    _phi_values,
-    _row_times_matrix,
-    _validate_chain_inputs,
+    _positive_gains,
     _young_drift_field,
 )
 
 __all__ = [
-    "BoundaryProximityError",
     "BarrierEnergy",
     "reciprocal_barrier_energy",
     "AdrcbfChain",
     "build_adrcbf_chain",
-    "adrcbf_constraint",
-    "evaluate_with_clamping",
-    "interior_membership",
 ]
 
 DEFAULT_ENERGY_GUARD = 1e-9
 STRUCTURAL_ROW_TOL = 1e-9
-
-
-class BoundaryProximityError(RuntimeError):
-    """An adaptive constraint was requested too close to the safe-set boundary."""
-
-    def __init__(self, level: int, value: float, guard: float):
-        self.level = level
-        self.value = value
-        self.guard = guard
-        super().__init__(
-            f"phi_{level} = {value!r} is within the guard {guard!r} of the boundary"
-        )
 
 
 @dataclass(frozen=True)
@@ -88,9 +67,6 @@ class BarrierEnergy:
             lambda xs: evaluator(inner(xs)), field.n, "algebraic-composite"
         )
 
-    def value(self, phi: float) -> float:
-        return self.evaluator(float(phi))
-
 
 def reciprocal_barrier_energy(guard: float = DEFAULT_ENERGY_GUARD) -> BarrierEnergy:
     """The shipped candidate B(phi) = 1/phi.
@@ -110,45 +86,10 @@ def reciprocal_barrier_energy(guard: float = DEFAULT_ENERGY_GUARD) -> BarrierEne
     return BarrierEnergy(evaluator=evaluator, derivative=derivative, guard=guard)
 
 
-@dataclass(frozen=True)
-class AdrcbfChain:
-    """Adaptive cascade: levels psi_0..psi_{m-1}, energies Gamma_0..Gamma_{m-1}."""
-
-    system: ControlAffineSystem
-    b: SmoothScalarField
-    m: int
-    coeffs: CoefficientTable
-    k: tuple
-    r: tuple
-    B: BarrierEnergy
-    psi: tuple
-    pi_m: SmoothScalarField
-    phi: tuple
-    gamma: tuple
-
-    def evaluate(self, x) -> ChainEvaluation:
-        """Fused per-state pass; see DrcbfChain.evaluate.
-
-        Must run with the state strictly interior, or inside a clamped_guards
-        context: the level evaluators contain the barrier energies of deeper
-        levels, whose guards fire otherwise.
-        """
-        sys = self.system
-        xs = as_state(x, sys.n)
-        lower = tuple([fld._evaluator(xs) for fld in self.psi[:-1]])
-        top_val, grad = self.psi[-1]._jet(xs)
-        n = sys.n
-        lf = _dot(grad, sys.f(xs))
-        lh = _row_times_matrix(grad, sys.h(xs), n, sys.q)
-        quarter = 1.0 / (4.0 * self.k[-1])
-        pi_m = lf - quarter * _dot(lh, lh)
-        control_row = _row_times_matrix(grad, sys.g(xs), n, sys.p)
-        levels = (*lower, top_val)
-        return ChainEvaluation(levels, pi_m, control_row, _phi_values(levels, self.coeffs))
-
-    def top_energy(self, phi_top):
-        """Gamma_{m-1} from an already-computed top phi value (guard-aware)."""
-        return self.r[-1] * self.B.evaluator(phi_top)
+# An empty subclass for the benchmark's tracer, as drcbf.robust's
+# HocbfChain and DrcbfChain are.
+class AdrcbfChain(BarrierCascade):
+    """The adaptive cascade built by build_adrcbf_chain."""
 
 
 def build_adrcbf_chain(
@@ -172,16 +113,10 @@ def build_adrcbf_chain(
     strictly higher input relative degree than the level consuming it, so
     L_g Gamma_j must vanish on the samples).
     """
-    gains = _validate_chain_inputs(system, b, coeffs, k)
+    _check_barrier(system, b, coeffs)
     m = system.ird_m
-    adaptive_gains = tuple(float(v) for v in r)
-    if len(adaptive_gains) != m:
-        raise DimensionMismatchError("adaptive gain list r", m, len(adaptive_gains))
-    for v in adaptive_gains:
-        if not v > 0.0:
-            raise BarrierConstructionError(
-                f"adaptive gain {v!r} is not strictly positive"
-            )
+    gains = _positive_gains(k, m, "gain", "k")
+    adaptive_gains = _positive_gains(r, m, "adaptive gain", "r")
     if B is None:
         B = reciprocal_barrier_energy()
     _maybe_verify_degrees(system, b, samples)
@@ -195,20 +130,21 @@ def build_adrcbf_chain(
         gamma.append(gamma_prev)
         psi.append(pi_i - gamma_prev * gains[i - 1])
         phi = list(_combination_fields(psi, coeffs))
-    pi_m = _young_drift_field(psi[-1], system, gains[-1])
     gamma.append(B.apply(phi[m - 1]) * adaptive_gains[m - 1])
+    energy, top_rate = B.evaluator, adaptive_gains[-1]
 
     chain = AdrcbfChain(
         system=system,
         b=b,
         m=m,
         coeffs=coeffs,
+        levels=tuple(psi),
+        top_drift=_young_drift_field(psi[-1], system, gains[-1]),
+        phi=tuple(phi),
         k=gains,
+        penalty=lambda phi_top: top_rate * energy(phi_top),
         r=adaptive_gains,
         B=B,
-        psi=tuple(psi),
-        pi_m=pi_m,
-        phi=tuple(phi),
         gamma=tuple(gamma),
     )
     if samples is not None:
@@ -222,70 +158,10 @@ def _check_energy_degree_structure(chain: AdrcbfChain, samples):
         for x in samples:
             xs = as_state(x, sys.n)
             _, grad = gamma_field._jet(xs)
-            row = _row_times_matrix(grad, sys.g(xs), sys.n, sys.p)
+            row = _grad_times_matrix(grad, sys.g(xs), sys.n, sys.p)
             norm = math.sqrt(sum(v * v for v in row))
             if norm > STRUCTURAL_ROW_TOL:
                 raise BarrierConstructionError(
                     f"energy Gamma_{j} contributes to the control row at {xs}: "
                     f"norm {norm}; the barrier's input relative degree is wrong"
                 )
-
-
-def _constraint_from_evaluation(chain: AdrcbfChain, ev: ChainEvaluation, x):
-    gamma_top = chain.top_energy(ev.phi[-1])
-    offset = chain.k[-1] * gamma_top - ev.top_drift
-    for c, value in zip(chain.coeffs.row(chain.m), ev.levels):
-        offset -= c * value
-    return _checked_constraint(ev.control_row, offset, x)
-
-
-def evaluate_with_clamping(chain: AdrcbfChain, x):
-    """Evaluate the cascade with energies clamped at their guard.
-
-    Returns (evaluation, constraint, guard_events). This is the
-    controller-facing path: exact arithmetic keeps trajectories interior, but
-    a fixed-step integrator can overshoot the boundary by O(step); clamping
-    keeps the constraint finite and reports each breach instead of aborting.
-    """
-    with clamped_guards() as events:
-        ev = chain.evaluate(x)
-        constraint = _constraint_from_evaluation(chain, ev, x)
-    return ev, constraint, tuple(events)
-
-
-def adrcbf_constraint(chain: AdrcbfChain, x) -> AffineControlConstraint:
-    """Adaptive safety condition at x, affine in u:
-
-        beta_u(x) . u  >=  k_m Gamma_{m-1}(x) - pi_m(x) - sum_j c_j^m psi_j(x).
-
-    Requires x strictly interior (every phi_i above the energy guard); a
-    breach raises BoundaryProximityError naming the offending level. Use
-    evaluate_with_clamping for the tolerant controller-facing variant.
-    """
-    with clamped_guards() as events:
-        ev = chain.evaluate(x)
-    guard = chain.B.guard
-    for level, value in enumerate(ev.phi):
-        if value <= guard:
-            raise BoundaryProximityError(level, value, guard)
-    if events:
-        # Levels read energies of deeper levels only, so interior phi values
-        # imply no breaches; reaching here means the guard semantics broke.
-        raise BoundaryProximityError(-1, min(e.value for e in events), guard)
-    return _constraint_from_evaluation(chain, ev, x)
-
-
-def interior_membership(chain: AdrcbfChain, x) -> dict:
-    """Whether x lies in the open intersection of the cascade's level sets.
-
-    Evaluated with clamped energies so exterior states report cleanly; the
-    lowest level value is always exact, and any nonpositive value means the
-    state is outside regardless of clamping above it.
-    """
-    with clamped_guards():
-        values = chain.evaluate(x).phi
-    return {
-        "in_open_set": all(v > 0.0 for v in values),
-        "values": values,
-        "min_margin": min(values),
-    }

@@ -27,23 +27,18 @@ from math import isfinite
 from operator import neg
 from typing import Callable
 
-from .adaptive import evaluate_with_clamping
 from .fields import (
     ControlAffineSystem,
     SmoothScalarField,
     _CheckedState,
+    _grad_dot,
+    _grad_times_matrix,
     _Trace,
     _Traced,
     as_state,
 )
 from .qp import QpProblem, _inverse_cholesky_factor, _kernel_lines, _prelude, solve_qp
-from .robust import (
-    BETA_DEGENERACY_TOL,
-    AffineControlConstraint,
-    _checked_constraint,
-    _dot,
-    _row_times_matrix,
-)
+from .robust import BETA_DEGENERACY_TOL, AffineControlConstraint, evaluate_with_clamping
 
 __all__ = [
     "ControllerError",
@@ -82,7 +77,8 @@ class ClfSpec:
 class ControllerSpec:
     """Mode, safety cascade, stability spec, and quadratic tracking cost.
 
-    objective_h is the symmetric positive-definite H of u'Hu; objective_f
+    mode names the cascade (one of MODES) for the run's records; the step
+    reads only the chain. objective_h is the symmetric positive-definite H of u'Hu; objective_f
     maps the state to the linear cost row F(x) (a constant row is also
     accepted). control_period is the zero-order-hold duration in seconds.
 
@@ -151,8 +147,8 @@ class ControlStepResult:
 def _clf_terms(clf: ClfSpec, system: ControlAffineSystem, xs):
     """Row over (u, slack) and offset of the stability row at a checked state."""
     value, grad = clf.V._jet(xs)
-    lfv = _dot(grad, system.f(xs))
-    lgv = _row_times_matrix(grad, system.g(xs), system.n, system.p)
+    lfv = _grad_dot(grad, system.f(xs), system.n)
+    lgv = _grad_times_matrix(grad, system.g(xs), system.n, system.p)
     return (*lgv, -1.0), -clf.sigma * value - lfv
 
 
@@ -160,31 +156,6 @@ def clf_constraint(clf: ClfSpec, system: ControlAffineSystem, x) -> AffineContro
     """Stability row over (u, slack):  L_g V . u - slack <= -sigma V - L_f V."""
     row, offset = _clf_terms(clf, system, as_state(x, system.n))
     return AffineControlConstraint(row=row, offset=offset, sense="<=")
-
-
-def _safety_terms(spec: ControllerSpec, xs):
-    """The cascade evaluation and the offset of the mode's safety row at a
-    checked state, unchecked and with guarded reciprocals unclamped."""
-    chain = spec.chain
-    ev = chain.evaluate(xs)
-    if spec.mode == "drcbf":
-        offset = chain.k[-1] * chain.disturbance_bound ** 2 - ev.top_drift
-    elif spec.mode == "adrcbf":
-        offset = chain.k[-1] * chain.top_energy(ev.phi[-1]) - ev.top_drift
-    else:
-        offset = -ev.top_drift
-    for c, value in zip(chain.coeffs.row(chain.m), ev.levels):
-        offset -= c * value
-    return ev, offset
-
-
-def _cbf_constraint_for_mode(spec: ControllerSpec, x):
-    """Constraint plus the cascade evaluation and any guard events."""
-    if spec.mode == "adrcbf":
-        ev, constraint, events = evaluate_with_clamping(spec.chain, x)
-        return constraint, ev, events
-    ev, offset = _safety_terms(spec, x)
-    return _checked_constraint(ev.control_row, offset, x), ev, ()
 
 
 def _frozen(cls, fields):
@@ -268,12 +239,12 @@ def _trace_assembly(spec: ControllerSpec, trace, xs):
         return value if value.__class__ is _Traced else float(value)
 
     def assemble():
-        ev, offset = _safety_terms(spec, inputs)
+        ev = spec.chain.evaluate(inputs)
         clf_row, clf_offset = _clf_terms(spec.clf, system, inputs)
         c = (*spec.objective_f(inputs), 0.0)
         return (
             tuple(map(as_float, ev.control_row)),
-            as_float(offset),
+            as_float(ev.offset),
             tuple(map(as_float, clf_row)),
             as_float(clf_offset),
             tuple(map(as_float, c)),
@@ -352,8 +323,8 @@ def _traced_sum(trace, terms):
 
 def _residuals(trace, outputs, z):
     """Sources of the safety and stability residuals at the locals z of an
-    accepted QP solution, in _step_result's order (robust._dot's: left to
-    right from the first product)."""
+    accepted QP solution, in _step_result's order (fields._grad_dot's: left
+    to right from the first product)."""
     row, offset, clf_row, clf_offset, _, _ = outputs
     op = trace.operand
     p = len(row)
@@ -387,12 +358,12 @@ def control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:
 
 def _generic_control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:
     """control_step through the public layers: the cascade constraint (with
-    guard clamping in the adaptive mode), the stability row and the QP."""
+    guarded reciprocals clamped), the stability row and the QP."""
     system = spec.system
     xs = as_state(x, system.n)
     p = system.p
 
-    cbf, ev, guard_events = _cbf_constraint_for_mode(spec, xs)
+    ev, cbf, guard_events = evaluate_with_clamping(spec.chain, xs)
     clf_row_con = clf_constraint(spec.clf, system, xs)
 
     # Decision vector z = (u, slack).
@@ -419,8 +390,8 @@ def _step_result(solution, cbf, clf_row, clf_offset, phi, guard_events):
         p = len(clf_row) - 1
         u = solution.z[:p]
         slack = solution.z[p]
-        cbf_residual = _dot(cbf.row, u) - cbf.offset
-        clf_value = _dot(clf_row[:p], u) - slack
+        cbf_residual = _grad_dot(cbf.row, u, p) - cbf.offset
+        clf_value = _grad_dot(clf_row, u, p) - slack
         clf_residual = clf_offset - clf_value
     return ControlStepResult(
         u=u,

@@ -182,9 +182,6 @@ class SignalRealization:
         # A generated function does not pickle; the copy compiles its own.
         return {**self.__dict__, "_lookup": None}
 
-    def value(self, t: float) -> tuple:
-        return evaluate(self, t)
-
 
 def _draw_count(horizon: float, hold: float) -> int:
     ratio = horizon / hold

@@ -44,11 +44,8 @@ __all__ = [
     "constant_field",
     "coordinate_field",
     "lie_derivative_field",
-    "lie_row_squared_norm_field",
     "reciprocal_field",
-    "derive_field",
     "lie_f",
-    "lie_g",
     "lie_h",
     "verify_relative_degree",
 ]
@@ -1048,20 +1045,6 @@ def lie_derivative_field(field: SmoothScalarField, vector_map: Callable) -> Smoo
     return SmoothScalarField(evaluator, n, "derived-by-differentiation")
 
 
-def lie_row_squared_norm_field(
-    field: SmoothScalarField, matrix_map: Callable, width: int
-) -> SmoothScalarField:
-    """The field x -> || grad(field)(x) . matrix_map(x) ||^2 (squared Euclidean norm)."""
-    n = field.n
-    jet = field._jet
-
-    def evaluator(xs):
-        _, grad = jet(xs)
-        return _grad_row_squared_norm(grad, matrix_map(xs), n, width)
-
-    return SmoothScalarField(evaluator, n, "derived-by-differentiation")
-
-
 def reciprocal_field(
     field: SmoothScalarField,
     guard: float = DEFAULT_RECIPROCAL_GUARD,
@@ -1085,69 +1068,6 @@ def reciprocal_field(
     return SmoothScalarField(evaluator, field.n, "algebraic-composite")
 
 
-def derive_field(kind: str, *operands, **options) -> SmoothScalarField:
-    """Build a new jet-evaluable field from existing ones.
-
-    kinds:
-      "sum"                   derive_field("sum", f1, f2, ..., weights=None)
-      "scale"                 derive_field("scale", f, factor=a)
-      "product"               derive_field("product", f1, f2)
-      "lie_derivative"        derive_field("lie_derivative", f, vector_map=fn)
-      "lie_row_squared_norm"  derive_field("lie_row_squared_norm", f,
-                                           matrix_map=fn, width=q)
-      "reciprocal"            derive_field("reciprocal", f, guard=eps,
-                                           positive_domain=False)
-
-    The returned field's gradient is the exact forward-mode derivative of the
-    expression, chained through any nested Lie derivatives of the operands.
-    """
-    if kind == "sum":
-        if not operands:
-            raise FieldError("sum requires at least one operand field")
-        weights = options.pop("weights", None)
-        _reject_extra_options(kind, options)
-        if weights is None:
-            weights = (1.0,) * len(operands)
-        if len(weights) != len(operands):
-            raise DimensionMismatchError("sum weights", len(operands), len(weights))
-        out = operands[0] * float(weights[0])
-        for fld, w in zip(operands[1:], weights[1:]):
-            out = out + fld * float(w)
-        return out
-    if kind == "scale":
-        (fld,) = operands
-        factor = options.pop("factor")
-        _reject_extra_options(kind, options)
-        return fld * float(factor)
-    if kind == "product":
-        left, right = operands
-        _reject_extra_options(kind, options)
-        return left * right
-    if kind == "lie_derivative":
-        (fld,) = operands
-        vector_map = options.pop("vector_map")
-        _reject_extra_options(kind, options)
-        return lie_derivative_field(fld, vector_map)
-    if kind == "lie_row_squared_norm":
-        (fld,) = operands
-        matrix_map = options.pop("matrix_map")
-        width = options.pop("width")
-        _reject_extra_options(kind, options)
-        return lie_row_squared_norm_field(fld, matrix_map, width)
-    if kind == "reciprocal":
-        (fld,) = operands
-        guard = options.pop("guard", DEFAULT_RECIPROCAL_GUARD)
-        positive_domain = options.pop("positive_domain", False)
-        _reject_extra_options(kind, options)
-        return reciprocal_field(fld, guard, positive_domain)
-    raise FieldError(f"unknown derive_field kind {kind!r}")
-
-
-def _reject_extra_options(kind, options):
-    if options:
-        raise FieldError(f"unknown options for {kind!r}: {sorted(options)}")
-
-
 def _require_field_matches_system(field: SmoothScalarField, system: ControlAffineSystem):
     if field.n != system.n:
         raise DimensionMismatchError("field on system state", system.n, field.n)
@@ -1162,17 +1082,6 @@ def lie_f(field: SmoothScalarField, system: ControlAffineSystem, x) -> float:
     if len(vec) != system.n:
         raise DimensionMismatchError("drift f(x)", system.n, len(vec))
     return _grad_dot(grad, vec, system.n)
-
-
-def lie_g(field: SmoothScalarField, system: ControlAffineSystem, x) -> tuple:
-    """Row of Lie derivatives of the field along the input columns of g at x."""
-    _require_field_matches_system(field, system)
-    xs = as_state(x, system.n)
-    _, grad = field._jet(xs)
-    mat = system.g(xs)
-    if len(mat) != system.n:
-        raise DimensionMismatchError("input map g(x)", system.n, len(mat))
-    return _grad_times_matrix(grad, mat, system.n, system.p)
 
 
 def lie_h(field: SmoothScalarField, system: ControlAffineSystem, x) -> tuple:

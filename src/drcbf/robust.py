@@ -1,11 +1,16 @@
-"""Disturbance-rejection barrier cascades and the nominal high-order baseline.
+"""Barrier cascades: the robust one, the nominal high-order baseline, and
+the one class and constraint entry that all three cascades share.
 
-The robust cascade lowers each barrier derivative by the worst case a bounded
-disturbance can contribute, using the Young-inequality split
-(1/4k)||L_h b||^2 + k D^2 >= D ||L_h b||. The resulting safety condition is
-affine in the control and never needs the disturbance signal itself, only the
-bound D. The nominal (disturbance-ignoring) high-order construction is kept
-alongside as the baseline it is compared against.
+A cascade's levels start at the barrier b; each next level is the drift of
+the one below. The robust cascade lowers each drift by the worst case a
+bounded disturbance can contribute, using the Young-inequality split
+(1/4k)||L_h b||^2 + k D^2 >= D ||L_h b||, so the safety condition is affine
+in the control and needs only the bound D, never the disturbance signal.
+The adaptive cascade (drcbf.adaptive) pays k Gamma(phi) in place of k D^2.
+The nominal cascade, the baseline they are compared against, pays neither
+term. BarrierCascade holds any of the three, evaluates it at a state and
+assembles its safety offset; evaluate_with_clamping turns that into the
+constraint the controller enforces.
 """
 
 from __future__ import annotations
@@ -13,16 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .fields import (
     ControlAffineSystem,
     DimensionMismatchError,
-    FieldError,
     SmoothScalarField,
     _grad_dot,
     _grad_row_squared_norm,
+    _grad_times_matrix,
     as_state,
+    clamped_guards,
     lie_derivative_field,
     verify_relative_degree,
 )
@@ -33,15 +39,14 @@ __all__ = [
     "DegenerateConstraintError",
     "AffineControlConstraint",
     "ChainEvaluation",
+    "BarrierCascade",
     "DrcbfChain",
     "HocbfChain",
     "build_drcbf_chain",
     "build_hocbf_chain",
-    "drcbf_constraint",
-    "hocbf_constraint",
-    "hocbf_chain_constraint",
+    "evaluate_with_clamping",
+    "membership",
     "optimal_k",
-    "chain_membership",
 ]
 
 BETA_DEGENERACY_TOL = 1e-12
@@ -94,23 +99,7 @@ class ChainEvaluation:
     top_drift: float     # drift term of the top derivative (control-free part)
     control_row: tuple   # coefficient row of u in the top derivative
     phi: tuple           # set-membership function values at x
-
-
-def _dot(a, b):
-    s = a[0] * b[0]
-    for i in range(1, len(a)):
-        s = s + a[i] * b[i]
-    return s
-
-
-def _row_times_matrix(grad, mat, n, width):
-    out = []
-    for j in range(width):
-        s = grad[0] * mat[0][j]
-        for i in range(1, n):
-            s = s + grad[i] * mat[i][j]
-        out.append(s)
-    return tuple(out)
+    offset: float        # safety offset: control_row . u >= offset
 
 
 def _phi_values(level_values, coeffs: CoefficientTable):
@@ -135,20 +124,23 @@ def _combination_fields(level_fields, coeffs: CoefficientTable):
     return tuple(phi)
 
 
-def _validate_chain_inputs(system, b, coeffs, k, order_label="k"):
+def _check_barrier(system, b, coeffs):
     if b.n != system.n:
         raise DimensionMismatchError("barrier on system state", system.n, b.n)
-    m = system.ird_m
-    if coeffs.order < m:
+    if coeffs.order < system.ird_m:
         raise BarrierConstructionError(
-            f"coefficient table of order {coeffs.order} cannot serve order {m}"
+            f"coefficient table of order {coeffs.order} cannot serve order {system.ird_m}"
         )
-    gains = tuple(float(v) for v in k)
+
+
+def _positive_gains(values, m, name, symbol):
+    """values as a tuple of m strictly positive floats."""
+    gains = tuple(float(v) for v in values)
     if len(gains) != m:
-        raise DimensionMismatchError(f"gain list {order_label}", m, len(gains))
+        raise DimensionMismatchError(f"{name} list {symbol}", m, len(gains))
     for v in gains:
         if not v > 0.0:
-            raise BarrierConstructionError(f"gain {v!r} is not strictly positive")
+            raise BarrierConstructionError(f"{name} {v!r} is not strictly positive")
     return gains
 
 
@@ -163,39 +155,75 @@ def _maybe_verify_degrees(system, b, samples):
 
 
 @dataclass(frozen=True)
-class DrcbfChain:
-    """Robust cascade: levels tilde_b_0..tilde_b_{m-1}, top drift w_m, control row."""
+class BarrierCascade:
+    """Levels psi_0..psi_{m-1} of the barrier b, the top level's drift field
+    and the combination fields phi_0..phi_{m-1}.
+
+    Level i is the drift of level i-1, lowered, where the cascade has gains
+    k, by the Young split (1/4k_i)||L_h psi_{i-1}||^2 and the penalty
+    k_i P_{i-1}, with P = D^2 in the robust cascade and P_{i-1} = Gamma_{i-1}
+    = r_{i-1} B(phi_{i-1}) in the adaptive one. penalty is the top level's P
+    as a function of the value of phi_{m-1}. The nominal cascade has neither
+    gains nor penalty. build_hocbf_chain, build_drcbf_chain and
+    drcbf.adaptive.build_adrcbf_chain build the three.
+    """
 
     system: ControlAffineSystem
     b: SmoothScalarField
     m: int
     coeffs: CoefficientTable
-    k: tuple
-    disturbance_bound: float
-    tilde_b: tuple
-    w_m: SmoothScalarField
+    levels: tuple
+    top_drift: SmoothScalarField
     phi: tuple
+    k: tuple = ()                               # Young gains k_1..k_m
+    penalty: Optional[Callable] = None
+    disturbance_bound: Optional[float] = None   # robust cascade: D
+    r: tuple = ()                               # adaptive cascade: the rates,
+    B: object = None                            # the BarrierEnergy
+    gamma: tuple = ()                           # and Gamma_0..Gamma_{m-1}
 
     def evaluate(self, x) -> ChainEvaluation:
-        """One fused pass: level values, top drift, control row, phi values.
+        """One fused pass: level values, top drift, control row, phi values
+        and the safety offset
+
+            k_m P(phi_{m-1}) - top drift - sum_j c_j^m psi_j.
 
         The top level's gradient is evaluated once and reused for the drift,
-        control, and disturbance rows, which is what keeps per-step cost low.
+        disturbance and control rows, which is what keeps per-step cost low.
+        Guarded reciprocals (the adaptive cascade's energies) raise at a
+        breach unless this runs inside a clamped_guards context.
         """
         sys = self.system
-        xs = as_state(x, sys.n)
-        lower = tuple([fld._evaluator(xs) for fld in self.tilde_b[:-1]])
-        top_val, grad = self.tilde_b[-1]._jet(xs)
         n = sys.n
-        f = sys.f(xs)
-        lf = _dot(grad, f)
-        h = sys.h(xs)
-        lh = _row_times_matrix(grad, h, n, sys.q)
-        quarter = 1.0 / (4.0 * self.k[-1])
-        w_m = lf - quarter * _dot(lh, lh)
-        control_row = _row_times_matrix(grad, sys.g(xs), n, sys.p)
+        xs = as_state(x, n)
+        lower = tuple([fld._evaluator(xs) for fld in self.levels[:-1]])
+        top_val, grad = self.levels[-1]._jet(xs)
+        drift = _grad_dot(grad, sys.f(xs), n)
+        if self.k:
+            lh = _grad_times_matrix(grad, sys.h(xs), n, sys.q)
+            quarter = 1.0 / (4.0 * self.k[-1])
+            drift = drift - quarter * _grad_dot(lh, lh, sys.q)
+        control_row = _grad_times_matrix(grad, sys.g(xs), n, sys.p)
         levels = (*lower, top_val)
-        return ChainEvaluation(levels, w_m, control_row, _phi_values(levels, self.coeffs))
+        phi = _phi_values(levels, self.coeffs)
+        # Without a penalty the offset starts at -drift, not 0.0 - drift:
+        # the two differ in the sign of a zero.
+        offset = -drift if self.penalty is None else self.k[-1] * self.penalty(phi[-1]) - drift
+        for c, value in zip(self.coeffs.row(self.m), levels):
+            offset -= c * value
+        return ChainEvaluation(levels, drift, control_row, phi, offset)
+
+
+# One empty subclass per builder, for the benchmark's tracer
+# (perfbench/tracing.py): it times HocbfChain.evaluate, DrcbfChain.evaluate
+# and AdrcbfChain.evaluate as one span each. Were the three names aliases of
+# one class, every call would run inside all three wrappers.
+class HocbfChain(BarrierCascade):
+    """The nominal cascade built by build_hocbf_chain."""
+
+
+class DrcbfChain(BarrierCascade):
+    """The robust cascade built by build_drcbf_chain."""
 
 
 def _young_drift_field(
@@ -238,7 +266,8 @@ def build_drcbf_chain(
     When samples are given, the declared relative degrees are verified on them
     first and a failure raises instead of building a degenerate cascade.
     """
-    gains = _validate_chain_inputs(system, b, coeffs, k)
+    _check_barrier(system, b, coeffs)
+    gains = _positive_gains(k, system.ird_m, "gain", "k")
     bound = float(D)
     if bound < 0.0:
         raise BarrierConstructionError("disturbance bound must be nonnegative")
@@ -251,60 +280,19 @@ def build_drcbf_chain(
         levels.append(
             _young_drift_field(levels[-1], system, gains[i - 1]) - gains[i - 1] * bound_sq
         )
-    w_m = _young_drift_field(levels[-1], system, gains[-1])
+    top_penalty = bound ** 2
     return DrcbfChain(
         system=system,
         b=b,
         m=m,
         coeffs=coeffs,
-        k=gains,
-        disturbance_bound=bound,
-        tilde_b=tuple(levels),
-        w_m=w_m,
+        levels=tuple(levels),
+        top_drift=_young_drift_field(levels[-1], system, gains[-1]),
         phi=_combination_fields(levels, coeffs),
+        k=gains,
+        penalty=lambda phi: top_penalty,
+        disturbance_bound=bound,
     )
-
-
-def _checked_constraint(row, offset, x):
-    norm = math.sqrt(sum(map(mul, row, row)))
-    if norm < BETA_DEGENERACY_TOL:
-        raise DegenerateConstraintError(row, x)
-    return AffineControlConstraint(row=row, offset=offset, sense=">=")
-
-
-def drcbf_constraint(chain: DrcbfChain, x) -> AffineControlConstraint:
-    """Safety condition at x, affine in u:
-
-        beta_u(x) . u  >=  k_m D^2 - w_m(x) - sum_j c_j^m tilde_b_j(x).
-    """
-    ev = chain.evaluate(x)
-    top_row = chain.coeffs.row(chain.m)
-    offset = chain.k[-1] * chain.disturbance_bound ** 2 - ev.top_drift
-    for c, value in zip(top_row, ev.levels):
-        offset -= c * value
-    return _checked_constraint(ev.control_row, offset, x)
-
-
-@dataclass(frozen=True)
-class HocbfChain:
-    """Nominal cascade: plain drift derivatives of b, ignoring the disturbance map."""
-
-    system: ControlAffineSystem
-    b: SmoothScalarField
-    m: int
-    coeffs: CoefficientTable
-    levels: tuple
-    phi: tuple
-
-    def evaluate(self, x) -> ChainEvaluation:
-        sys = self.system
-        xs = as_state(x, sys.n)
-        lower = tuple([fld._evaluator(xs) for fld in self.levels[:-1]])
-        top_val, grad = self.levels[-1]._jet(xs)
-        lf = _dot(grad, sys.f(xs))
-        control_row = _row_times_matrix(grad, sys.g(xs), sys.n, sys.p)
-        values = (*lower, top_val)
-        return ChainEvaluation(values, lf, control_row, _phi_values(values, self.coeffs))
 
 
 def build_hocbf_chain(
@@ -314,14 +302,9 @@ def build_hocbf_chain(
     samples=None,
 ) -> HocbfChain:
     """Nominal high-order cascade: level i is L_f applied i times to b."""
-    if b.n != system.n:
-        raise DimensionMismatchError("barrier on system state", system.n, b.n)
-    m = system.ird_m
-    if coeffs.order < m:
-        raise BarrierConstructionError(
-            f"coefficient table of order {coeffs.order} cannot serve order {m}"
-        )
+    _check_barrier(system, b, coeffs)
     _maybe_verify_degrees(system, b, samples)
+    m = system.ird_m
     levels = [b]
     for _ in range(1, m):
         levels.append(lie_derivative_field(levels[-1], system.f))
@@ -331,33 +314,29 @@ def build_hocbf_chain(
         m=m,
         coeffs=coeffs,
         levels=tuple(levels),
+        top_drift=lie_derivative_field(levels[-1], system.f),
         phi=_combination_fields(levels, coeffs),
     )
 
 
-def hocbf_constraint(
-    system: ControlAffineSystem,
-    b: SmoothScalarField,
-    coeffs: CoefficientTable,
-    x,
-) -> AffineControlConstraint:
-    """Nominal high-order safety condition at x, affine in u:
+def evaluate_with_clamping(chain: BarrierCascade, x):
+    """The cascade's evaluation at x and its safety condition, affine in u,
 
-        L_g nu_{m-1}(x) . u  >=  -L_f nu_{m-1}(x) - sum_j c_j^m nu_j(x)
+        control_row . u  >=  k_m P(phi_{m-1}) - top drift - sum_j c_j^m psi_j,
 
-    where nu_i = L_f^i b. Equivalent to requiring the m-th linear-combination
-    function to stay nonnegative.
+    with guarded reciprocals clamped at their guard. Returns (evaluation,
+    constraint, guard_events). This is the controller-facing path: exact
+    arithmetic keeps trajectories interior, but a fixed-step integrator can
+    overshoot the boundary by O(step); clamping keeps the constraint finite
+    and reports each breach instead of aborting. A control row of norm
+    below BETA_DEGENERACY_TOL raises DegenerateConstraintError.
     """
-    chain = build_hocbf_chain(system, b, coeffs)
-    return hocbf_chain_constraint(chain, x)
-
-
-def hocbf_chain_constraint(chain: HocbfChain, x) -> AffineControlConstraint:
-    ev = chain.evaluate(x)
-    offset = -ev.top_drift
-    for c, value in zip(chain.coeffs.row(chain.m), ev.levels):
-        offset -= c * value
-    return _checked_constraint(ev.control_row, offset, x)
+    with clamped_guards() as events:
+        ev = chain.evaluate(x)
+    row = ev.control_row
+    if math.sqrt(sum(map(mul, row, row))) < BETA_DEGENERACY_TOL:
+        raise DegenerateConstraintError(row, x)
+    return ev, AffineControlConstraint(row=row, offset=ev.offset, sense=">="), tuple(events)
 
 
 def optimal_k(eta: Sequence, D: float) -> tuple:
@@ -380,7 +359,19 @@ def optimal_k(eta: Sequence, D: float) -> tuple:
     return tuple(gains)
 
 
-def chain_membership(chain, x) -> dict:
-    """Whether x lies in the (closed) intersection of the cascade's sublevel sets."""
-    values = chain.evaluate(x).phi
-    return {"in_set": all(v >= 0.0 for v in values), "values": values}
+def membership(chain: BarrierCascade, x) -> dict:
+    """Whether x lies in the cascade's safe set, the intersection of the sets
+    phi_i >= 0; open (phi_i > 0) for a cascade with energies, which diverge
+    on its boundary.
+
+    Evaluated with clamped guards so that exterior states report cleanly:
+    the lowest level value is always exact, and any value outside means the
+    state is outside regardless of clamping above it.
+    """
+    with clamped_guards():
+        values = chain.evaluate(x).phi
+    if chain.gamma:
+        inside = all(v > 0.0 for v in values)
+    else:
+        inside = all(v >= 0.0 for v in values)
+    return {"in_set": inside, "values": values, "min_margin": min(values)}

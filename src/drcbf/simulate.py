@@ -32,7 +32,6 @@ from math import isfinite, nan, sqrt
 from operator import neg
 from typing import Optional
 
-from .adaptive import AdrcbfChain, interior_membership
 from .controller import (
     ControllerSpec,
     _residuals,
@@ -49,7 +48,7 @@ from .disturbances import (
 )
 from .fields import ControlAffineSystem, _CheckedState, _Deopt, _Trace, _Traced, as_state
 from .qp import QpProblem, solve_qp
-from .robust import DegenerateConstraintError, chain_membership
+from .robust import DegenerateConstraintError, membership
 
 __all__ = [
     "SimulationError",
@@ -382,21 +381,15 @@ def _generic_integrate_step(system: ControlAffineSystem, x, u, d, h: float) -> t
     return out
 
 
-def _initial_membership(controller: ControllerSpec, x0):
-    if controller.mode == "adrcbf":
-        report = interior_membership(controller.chain, x0)
-        if not report["in_open_set"]:
-            raise SimulationError(
-                f"initial state {tuple(x0)} is not strictly inside the safe set: "
-                f"level values {report['values']}"
-            )
-    else:
-        report = chain_membership(controller.chain, x0)
-        if not report["in_set"]:
-            raise SimulationError(
-                f"initial state {tuple(x0)} is outside the safe set: "
-                f"level values {report['values']}"
-            )
+def _check_initial_state(chain, x0):
+    """Raise SimulationError unless x0 lies in the chain's safe set (see
+    drcbf.robust.membership)."""
+    report = membership(chain, x0)
+    if not report["in_set"]:
+        raise SimulationError(
+            f"initial state {tuple(x0)} is outside the safe set: "
+            f"level values {report['values']}"
+        )
 
 
 def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
@@ -548,7 +541,8 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
     """Run the closed loop for the whole horizon and return the trajectory log.
 
     The initial state must lie in the safe set the controller certifies
-    (strictly inside it for the adaptive mode, whose boundary energy diverges).
+    (strictly inside it for the adaptive cascade, whose boundary energy
+    diverges).
     On a solver or integrator fault the log keeps every completed record,
     failed is set, and final_state is the last healthy state.
 
@@ -560,7 +554,7 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
     """
     system = config.system
     controller = config.controller
-    _initial_membership(controller, config.x0)
+    _check_initial_state(controller.chain, config.x0)
 
     dt = config.control_period
     substeps = config.integrator_substeps

@@ -56,7 +56,7 @@ from drcbf.simulate import (
     IntegrationFault,
     SimulationConfig,
     TrajectoryLog,
-    _initial_membership,
+    _check_initial_state,
     integrate_step,
     run_simulation,
 )
@@ -581,7 +581,7 @@ def reference_run(config):
     fallback_steps."""
     system = config.system
     controller = config.controller
-    _initial_membership(controller, config.x0)
+    _check_initial_state(controller.chain, config.x0)
 
     dt = config.control_period
     substeps = config.integrator_substeps

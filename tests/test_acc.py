@@ -22,10 +22,10 @@ from drcbf.acc import (
     tracking_objective,
     verification_samples,
 )
-from drcbf.adaptive import adrcbf_constraint, build_adrcbf_chain, interior_membership
+from drcbf.adaptive import build_adrcbf_chain
 from drcbf.disturbances import evaluate, realize
 from drcbf.fields import lie_h, verify_relative_degree
-from drcbf.robust import build_drcbf_chain, drcbf_constraint, optimal_k
+from drcbf.robust import build_drcbf_chain, evaluate_with_clamping, membership, optimal_k
 from drcbf.simulate import TrajectoryLog, run_simulation
 
 from oracles import fd_gradient
@@ -193,7 +193,8 @@ class TestRobustCrossOracle:
                 abs(ev.phi[0] - ref["phi"][0]),
                 abs(ev.phi[1] - ref["phi"][1]),
             ]
-            con = drcbf_constraint(chain, x)
+            _, con, events = evaluate_with_clamping(chain, x)
+            assert events == ()
             diffs.append(abs(con.offset - ref["offset"]))
             diffs.append(abs(con.row[0] - ref["control_row"][0]))
             worst = max(worst, max(diffs))
@@ -223,13 +224,14 @@ class TestClosedFormAdaptive:
         accepted = []
         while len(accepted) < 100:
             x = (rng.uniform(10.5, 200.0), rng.uniform(0.0, 40.0))
-            if interior_membership(chain, x)["min_margin"] > 1e-2:
+            if membership(chain, x)["min_margin"] > 1e-2:
                 accepted.append(x)
         worst = 0.0
         for x in accepted:
             ev = chain.evaluate(x)
             ref = closed_form_adaptive_terms(PARAMS, x, GAINS, RATES)
-            con = adrcbf_constraint(chain, x)
+            _, con, events = evaluate_with_clamping(chain, x)
+            assert events == ()
             diffs = [
                 abs(ev.levels[0] - ref["levels"][0]),
                 abs(ev.levels[1] - ref["levels"][1]),
@@ -238,7 +240,7 @@ class TestClosedFormAdaptive:
                 abs(ev.phi[0] - ref["phi"][0]),
                 abs(ev.phi[1] - ref["phi"][1]),
                 abs(chain.gamma[0].value(x) - ref["gamma"][0]),
-                abs(chain.top_energy(ev.phi[-1]) - ref["gamma"][1]),
+                abs(chain.penalty(ev.phi[-1]) - ref["gamma"][1]),
                 abs(con.offset - ref["offset"]),
                 abs(con.row[0] - ref["control_row"][0]),
             ]
@@ -250,7 +252,7 @@ class TestUnitDisturbanceRows:
     def test_both_cascade_levels_see_unit_norm_ports(self):
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, GAINS, case_bound(1))
         for x in operating_states(100, 909):
-            for level in chain.tilde_b:
+            for level in chain.levels:
                 row = lie_h(level, SYSTEM, x)
                 norm = math.sqrt(sum(v * v for v in row))
                 assert norm == pytest.approx(1.0, rel=1e-12)

@@ -26,11 +26,17 @@ from drcbf.acc import (
     speed_tracking_clf,
     summarize_log,
 )
-from drcbf.adaptive import adrcbf_constraint, build_adrcbf_chain, interior_membership
+from drcbf.adaptive import build_adrcbf_chain
 from drcbf.cli import case_document, execute_document
 from drcbf.poles import coefficients_from_poles
 from drcbf.qp import QpProblem, solve_qp
-from drcbf.robust import build_drcbf_chain, build_hocbf_chain, drcbf_constraint, optimal_k
+from drcbf.robust import (
+    build_drcbf_chain,
+    build_hocbf_chain,
+    evaluate_with_clamping,
+    membership,
+    optimal_k,
+)
 from drcbf.simulate import run_simulation
 
 from oracles import (
@@ -79,7 +85,7 @@ def interior_states(chain, count, seed, margin):
     accepted = []
     while len(accepted) < count:
         x = (rng.uniform(10.5, 200.0), rng.uniform(0.0, 40.0))
-        if interior_membership(chain, x)["min_margin"] > margin:
+        if membership(chain, x)["min_margin"] > margin:
             accepted.append(x)
     return accepted
 
@@ -249,7 +255,8 @@ def test_criterion_07_generic_chains_match_closed_forms():
     for x in operating_states(100, 20240711):
         ev = robust.evaluate(x)
         ref = closed_form_robust_terms(PARAMS, x, GAINS, bound)
-        con = drcbf_constraint(robust, x)
+        _, con, events = evaluate_with_clamping(robust, x)
+        assert events == ()
         worst = max(
             worst,
             abs(ev.levels[0] - ref["levels"][0]),
@@ -264,7 +271,8 @@ def test_criterion_07_generic_chains_match_closed_forms():
     for x in interior_states(adaptive, 100, 20240712, margin=1e-2):
         ev = adaptive.evaluate(x)
         ref = closed_form_adaptive_terms(PARAMS, x, GAINS, RATES)
-        con = adrcbf_constraint(adaptive, x)
+        _, con, events = evaluate_with_clamping(adaptive, x)
+        assert events == ()
         worst = max(
             worst,
             abs(ev.levels[0] - ref["levels"][0]),
@@ -273,7 +281,7 @@ def test_criterion_07_generic_chains_match_closed_forms():
             abs(ev.phi[0] - ref["phi"][0]),
             abs(ev.phi[1] - ref["phi"][1]),
             abs(adaptive.gamma[0].value(x) - ref["gamma"][0]),
-            abs(adaptive.top_energy(ev.phi[-1]) - ref["gamma"][1]),
+            abs(adaptive.penalty(ev.phi[-1]) - ref["gamma"][1]),
             abs(con.row[0] - ref["control_row"][0]),
             abs(con.offset - ref["offset"]),
         )
@@ -310,14 +318,14 @@ def test_criterion_09_every_field_gradient_matches_finite_differences():
     adaptive = build_adrcbf_chain(SYSTEM, BARRIER, TABLE, GAINS, RATES)
 
     smooth = [("gap margin", BARRIER), ("tracking energy", clf.V)]
-    smooth += [(f"robust level {i}", f) for i, f in enumerate(robust.tilde_b)]
-    smooth += [("robust top drift", robust.w_m)]
+    smooth += [(f"robust level {i}", f) for i, f in enumerate(robust.levels)]
+    smooth += [("robust top drift", robust.top_drift)]
     smooth += [(f"robust combination {i}", f) for i, f in enumerate(robust.phi)]
     smooth += [(f"nominal level {i}", f) for i, f in enumerate(nominal.levels)]
     smooth += [(f"nominal combination {i}", f) for i, f in enumerate(nominal.phi)]
 
-    guarded = [(f"adaptive level {i}", f) for i, f in enumerate(adaptive.psi)]
-    guarded += [("adaptive top drift", adaptive.pi_m)]
+    guarded = [(f"adaptive level {i}", f) for i, f in enumerate(adaptive.levels)]
+    guarded += [("adaptive top drift", adaptive.top_drift)]
     guarded += [(f"adaptive combination {i}", f) for i, f in enumerate(adaptive.phi)]
     guarded += [(f"adaptive energy {i}", f) for i, f in enumerate(adaptive.gamma)]
 

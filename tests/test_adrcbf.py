@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drcbf.adaptive import (
-    BoundaryProximityError,
-    build_adrcbf_chain,
-    adrcbf_constraint,
-    evaluate_with_clamping,
-    interior_membership,
-    reciprocal_barrier_energy,
-)
+from drcbf.adaptive import build_adrcbf_chain, reciprocal_barrier_energy
 from drcbf.disturbances import SignalRealization
 from drcbf.fields import ControlAffineSystem, field_from_callable, lie_f
 from drcbf.poles import coefficients_from_poles
-from drcbf.robust import BarrierConstructionError, build_drcbf_chain
+from drcbf.robust import (
+    BarrierConstructionError,
+    build_drcbf_chain,
+    evaluate_with_clamping,
+    membership,
+)
 from drcbf.acc import AccParameters, acc_system, distance_barrier, pole_table
 
 PARAMS = AccParameters()
@@ -28,6 +26,13 @@ TABLE = pole_table(PARAMS)
 
 def make_chain(k=(0.1, 0.1), r=(1.0, 1.0), samples=None):
     return build_adrcbf_chain(SYSTEM, BARRIER, TABLE, k, r, samples=samples)
+
+
+def interior_constraint(chain, x):
+    """The chain's safety constraint at an interior x, where no guard fires."""
+    _, con, events = evaluate_with_clamping(chain, x)
+    assert events == ()
+    return con
 
 
 class TestBarrierEnergyFunction:
@@ -63,7 +68,7 @@ class TestAdaptiveChainConstruction:
     def test_shapes(self):
         chain = make_chain()
         assert chain.m == 2
-        assert len(chain.psi) == 2
+        assert len(chain.levels) == 2
         assert len(chain.gamma) == 2
         assert len(chain.phi) == 2
 
@@ -95,7 +100,7 @@ class TestAdaptiveChainConstruction:
         # The adaptive cascade must not know any disturbance magnitude: no
         # bound field exists and no sampled path is captured.
         chain = make_chain()
-        assert "disturbance_bound" not in chain.__dataclass_fields__
+        assert chain.disturbance_bound is None
         for name in chain.__dataclass_fields__:
             assert not isinstance(getattr(chain, name), SignalRealization)
 
@@ -105,7 +110,7 @@ class TestAdaptiveChainConstruction:
         x = (100.0, 13.89)
         # psi_1 = L_f b - 1/(4 k1) ||L_h b||^2 - k1 * Gamma_0, with unit row.
         expected = lie_f(BARRIER, SYSTEM, x) - 1.0 / (4.0 * k1) - k1 * (1.0 / 90.0)
-        assert chain.psi[1].value(x) == pytest.approx(expected, rel=1e-12)
+        assert chain.levels[1].value(x) == pytest.approx(expected, rel=1e-12)
 
     def test_less_conservative_than_robust_far_from_boundary(self):
         # Away from the boundary the energy term r/b is far below the
@@ -114,13 +119,13 @@ class TestAdaptiveChainConstruction:
         robust = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), bound)
         adaptive = make_chain()
         x = (100.0, 13.89)
-        assert adaptive.psi[1].value(x) > robust.tilde_b[1].value(x)
+        assert adaptive.levels[1].value(x) > robust.levels[1].value(x)
 
 
 class TestAdaptiveConstraint:
     def test_row_matches_control_direction(self):
         chain = make_chain()
-        con = adrcbf_constraint(chain, (100.0, 13.89))
+        con = interior_constraint(chain, (100.0, 13.89))
         assert con.row == pytest.approx((-1.0 / PARAMS.mass,), rel=1e-12)
         assert con.sense == ">="
 
@@ -130,7 +135,7 @@ class TestAdaptiveConstraint:
         chain = make_chain()
         x = (47.0, 22.0)
         ev = chain.evaluate(x)
-        con = adrcbf_constraint(chain, x)
+        con = interior_constraint(chain, x)
         gamma1 = chain.gamma[1].value(x)
         mixed = sum(c * v for c, v in zip(TABLE.row(2), ev.levels))
         expected = chain.k[1] * gamma1 - ev.top_drift - mixed
@@ -143,16 +148,11 @@ class TestAdaptiveConstraint:
         offsets = []
         for margin in (0.1, 0.05, 0.02, 0.01, 0.006):
             x = (10.0 + margin, 0.0)
-            assert interior_membership(chain, x)["in_open_set"]
-            offsets.append(adrcbf_constraint(chain, x).offset)
+            assert membership(chain, x)["in_set"]
+            offsets.append(interior_constraint(chain, x).offset)
         for nearer, farther in zip(offsets[1:], offsets):
             assert nearer > farther
         assert offsets[-1] > 1e6
-
-    def test_boundary_proximity_raises(self):
-        chain = make_chain()
-        with pytest.raises(BoundaryProximityError):
-            adrcbf_constraint(chain, (10.0 + 1e-12, 20.0))
 
     def test_clamped_evaluation_flags_and_stays_finite(self):
         chain = make_chain()
@@ -166,7 +166,8 @@ class TestAdaptiveConstraint:
         chain = make_chain()
         ev, con, events = evaluate_with_clamping(chain, (100.0, 13.89))
         assert events == ()
-        assert con == adrcbf_constraint(chain, (100.0, 13.89))
+        assert ev == chain.evaluate((100.0, 13.89))
+        assert (con.row, con.offset) == (ev.control_row, ev.offset)
 
     def test_single_level_chain_closed_form(self):
         # Scalar plant x' = -0.5 x + u with barrier x - 1 and pole p:
@@ -184,7 +185,7 @@ class TestAdaptiveConstraint:
             system, b, coefficients_from_poles((pole,)), (k,), (r,)
         )
         x = (5.0,)
-        con = adrcbf_constraint(chain, x)
+        con = interior_constraint(chain, x)
         pi_1 = -0.5 * x[0] - 1.0 / (4.0 * k)
         gamma_0 = r / (x[0] - 1.0)
         expected_offset = k * gamma_0 - pi_1 - pole * (x[0] - 1.0)
@@ -222,22 +223,22 @@ class TestDivergencePreventsEscape:
 
 class TestInteriorMembership:
     def test_initial_state_is_interior(self):
-        report = interior_membership(make_chain(), (100.0, 13.89))
-        assert report["in_open_set"]
+        report = membership(make_chain(), (100.0, 13.89))
+        assert report["in_set"]
         assert report["min_margin"] > 0.0
 
     def test_boundary_state_is_not_interior(self):
-        report = interior_membership(make_chain(), (10.0, 20.0))
-        assert not report["in_open_set"]
+        report = membership(make_chain(), (10.0, 20.0))
+        assert not report["in_set"]
 
     def test_outside_state_is_not_interior(self):
-        assert not interior_membership(make_chain(), (8.0, 20.0))["in_open_set"]
+        assert not membership(make_chain(), (8.0, 20.0))["in_set"]
 
     def test_margin_shrinks_monotonically_toward_boundary(self):
         chain = make_chain()
         gaps = [40.0 - 1.45 * i for i in range(20)] + [10.5, 10.2, 10.1]
         margins = [
-            interior_membership(chain, (gap, 18.0))["min_margin"] for gap in gaps
+            membership(chain, (gap, 18.0))["min_margin"] for gap in gaps
         ]
         for closer, farther in zip(margins[1:], margins):
             assert closer < farther

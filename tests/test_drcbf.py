@@ -20,10 +20,8 @@ from drcbf.robust import (
     DegenerateConstraintError,
     build_drcbf_chain,
     build_hocbf_chain,
-    chain_membership,
-    drcbf_constraint,
-    hocbf_chain_constraint,
-    hocbf_constraint,
+    evaluate_with_clamping,
+    membership,
     optimal_k,
 )
 from drcbf.acc import AccParameters, acc_system, distance_barrier, pole_table
@@ -35,6 +33,13 @@ SYSTEM = acc_system(PARAMS)
 BARRIER = distance_barrier(PARAMS)
 TABLE = pole_table(PARAMS)
 BOUND = 6.7268120108100975  # sqrt(45.25), the worst-case norm used in tests
+
+
+def constraint(chain, x):
+    """The chain's safety constraint at x, where no guard may fire."""
+    _, con, events = evaluate_with_clamping(chain, x)
+    assert events == ()
+    return con
 
 
 def double_integrator(h=None):
@@ -89,7 +94,7 @@ class TestRobustChainConstruction:
     def test_level_count_matches_declared_degree(self):
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
         assert chain.m == 2
-        assert len(chain.tilde_b) == 2
+        assert len(chain.levels) == 2
         assert len(chain.phi) == 2
 
     def test_gain_count_must_match_degree(self):
@@ -122,7 +127,7 @@ class TestRobustChainConstruction:
     def test_first_level_is_the_barrier(self):
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
         for x in ((100.0, 13.89), (42.0, 7.0)):
-            assert chain.tilde_b[0].value(x) == BARRIER.value(x)
+            assert chain.levels[0].value(x) == BARRIER.value(x)
 
     def test_second_level_subtracts_worst_case_margin(self):
         k1 = 0.1
@@ -133,7 +138,7 @@ class TestRobustChainConstruction:
             - 1.0 / (4.0 * k1)  # unit disturbance row on the gap rate
             - k1 * BOUND * BOUND
         )
-        assert chain.tilde_b[1].value(x) == pytest.approx(expected, rel=1e-12)
+        assert chain.levels[1].value(x) == pytest.approx(expected, rel=1e-12)
 
 
 class TestWorstCaseMargin:
@@ -153,11 +158,11 @@ class TestWorstCaseMargin:
             radius * BOUND * math.cos(angle),
             radius * BOUND * math.sin(angle),
         )
-        level = chain.tilde_b[0]
+        level = chain.levels[0]
         drift = lie_f(level, SYSTEM, x)
         row = lie_h(level, SYSTEM, x)
         disturbed = drift + row[0] * d[0] + row[1] * d[1]
-        assert disturbed >= chain.tilde_b[1].value(x) - 1e-10
+        assert disturbed >= chain.levels[1].value(x) - 1e-10
 
     @given(
         st.floats(min_value=10.6, max_value=200.0),
@@ -169,17 +174,17 @@ class TestWorstCaseMargin:
         # derivative must still dominate the pole-mixed lower levels.
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
         x = (gap, speed)
-        con = drcbf_constraint(chain, x)
+        con = constraint(chain, x)
         u = (con.offset / con.row[0],)
         assert abs(con.residual(u)) <= 1e-9 * max(1.0, abs(con.offset))
         d = (BOUND * math.cos(angle), BOUND * math.sin(angle))
-        top = chain.tilde_b[1]
+        top = chain.levels[1]
         drift = lie_f(top, SYSTEM, x)
         row_u = con.row
         row_d = lie_h(top, SYSTEM, x)
         disturbed = drift + row_u[0] * u[0] + row_d[0] * d[0] + row_d[1] * d[1]
         mixed = sum(
-            c * lvl.value(x) for c, lvl in zip(TABLE.row(2), chain.tilde_b)
+            c * lvl.value(x) for c, lvl in zip(TABLE.row(2), chain.levels)
         )
         assert disturbed >= -mixed - 1e-7 * max(1.0, abs(mixed))
 
@@ -187,13 +192,13 @@ class TestWorstCaseMargin:
 class TestRobustConstraint:
     def test_row_is_control_direction_of_top_level(self):
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
-        con = drcbf_constraint(chain, (100.0, 13.89))
+        con = constraint(chain, (100.0, 13.89))
         assert con.row == pytest.approx((-1.0 / PARAMS.mass,), rel=1e-12)
         assert con.sense == ">="
 
     def test_residual_is_affine_in_control(self):
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
-        con = drcbf_constraint(chain, (80.0, 20.0))
+        con = constraint(chain, (80.0, 20.0))
         r0 = con.residual((0.0,))
         r1 = con.residual((1.0,))
         r2 = con.residual((2.0,))
@@ -214,7 +219,7 @@ class TestRobustConstraint:
             system, b, coefficients_from_poles((1.0,)), (0.5,), 1.0
         )
         with pytest.raises(DegenerateConstraintError):
-            drcbf_constraint(chain, (0.0,))
+            constraint(chain, (0.0,))
 
 
 class TestNominalFallback:
@@ -223,10 +228,10 @@ class TestNominalFallback:
         robust = build_drcbf_chain(quiet, BARRIER, TABLE, (0.1, 0.1), 0.0)
         nominal = build_hocbf_chain(quiet, BARRIER, TABLE)
         for x in ((100.0, 13.89), (25.0, 30.0), (11.0, 0.0)):
-            for lvl_r, lvl_n in zip(robust.tilde_b, nominal.levels):
+            for lvl_r, lvl_n in zip(robust.levels, nominal.levels):
                 assert lvl_r.value(x) == pytest.approx(lvl_n.value(x), abs=1e-14)
-            con_r = drcbf_constraint(robust, x)
-            con_n = hocbf_chain_constraint(nominal, x)
+            con_r = constraint(robust, x)
+            con_n = constraint(nominal, x)
             assert con_r.row == pytest.approx(con_n.row, rel=1e-15)
             assert con_r.offset == pytest.approx(con_n.offset, rel=1e-12, abs=1e-12)
 
@@ -236,7 +241,7 @@ class TestNominalFallback:
         robust = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), 0.0)
         nominal = build_hocbf_chain(SYSTEM, BARRIER, TABLE)
         x = (100.0, 13.89)
-        assert robust.tilde_b[1].value(x) < nominal.levels[1].value(x)
+        assert robust.levels[1].value(x) < nominal.levels[1].value(x)
 
 
 class TestNominalChain:
@@ -245,11 +250,15 @@ class TestNominalChain:
         system = double_integrator()
         b = field_from_callable(lambda x: x[0], 2)
         table = coefficients_from_poles((1.0, 1.0))
+        chain = build_hocbf_chain(system, b, table)
         x = (3.0, -1.0)
-        con = hocbf_constraint(system, b, table, x)
+        con = constraint(chain, x)
         assert con.row == (1.0,)
         assert con.offset == pytest.approx(-(x[0] + 2.0 * x[1]), rel=1e-12)
         assert con.sense == ">="
+        # At the origin the offset is -0.0 - 0.0 - 0.0: a nominal offset that
+        # started from 0.0 - drift would give +0.0 here.
+        assert repr(constraint(chain, (0.0, 0.0)).offset) == "-0.0"
 
     def test_single_level_reduces_to_classic_condition(self):
         # Scalar plant x' = -x + u, b = x - 1, pole p: u - x >= -p (x - 1).
@@ -263,7 +272,7 @@ class TestNominalChain:
         b = field_from_callable(lambda x: x[0] - 1.0, 1)
         pole = 2.5
         x = (4.0,)
-        con = hocbf_constraint(system, b, coefficients_from_poles((pole,)), x)
+        con = constraint(build_hocbf_chain(system, b, coefficients_from_poles((pole,))), x)
         # L_f b + L_g b u >= -p b  =>  u >= x - p (x - 1)
         assert con.row == (1.0,)
         assert con.offset == pytest.approx(x[0] - pole * (x[0] - 1.0), rel=1e-12)
@@ -280,19 +289,19 @@ class TestNominalChain:
 class TestMembership:
     def test_initial_state_is_inside(self):
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
-        report = chain_membership(chain, (100.0, 13.89))
+        report = membership(chain, (100.0, 13.89))
         assert report["in_set"]
         assert all(v >= 0.0 for v in report["values"])
 
     def test_negative_barrier_is_outside(self):
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
-        assert not chain_membership(chain, (9.0, 13.89))["in_set"]
+        assert not membership(chain, (9.0, 13.89))["in_set"]
 
     def test_boundary_state_is_inside_the_closed_set(self):
         # Exactly on the barrier's zero level: still a member (>= 0, not > 0).
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
         x = (10.0, 20.0 - 1.0 / 0.4 - 0.1 * BOUND * BOUND)
-        report = chain_membership(chain, x)
+        report = membership(chain, x)
         assert report["values"][0] == 0.0
         assert report["in_set"]
 
@@ -302,7 +311,7 @@ class TestMembership:
         # the next float over falls outside.
         chain = build_drcbf_chain(SYSTEM, BARRIER, TABLE, (0.1, 0.1), BOUND)
         gap = 12.0
-        phi1 = lambda v: chain_membership(chain, (gap, v))["values"][1]
+        phi1 = lambda v: membership(chain, (gap, v))["values"][1]
         lo, hi = 0.0, 60.0
         assert phi1(lo) > 0.0 > phi1(hi)
         for _ in range(200):
@@ -314,8 +323,8 @@ class TestMembership:
             if hi == math.nextafter(lo, math.inf):
                 break
         assert phi1(lo) >= 0.0
-        assert chain_membership(chain, (gap, lo))["in_set"]
-        assert not chain_membership(chain, (gap, hi))["in_set"]
+        assert membership(chain, (gap, lo))["in_set"]
+        assert not membership(chain, (gap, hi))["in_set"]
 
 
 class TestTripleIntegrator:

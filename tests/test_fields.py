@@ -13,18 +13,16 @@ from drcbf.fields import (
     FieldError,
     ReciprocalGuardError,
     _Deopt,
+    _grad_times_matrix,
     _Trace,
     as_state,
     clamped_guards,
     constant_field,
     coordinate_field,
-    derive_field,
     field_from_callable,
     lie_derivative_field,
     lie_f,
-    lie_g,
     lie_h,
-    lie_row_squared_norm_field,
     reciprocal_field,
     verify_relative_degree,
 )
@@ -123,8 +121,9 @@ class TestLieDerivatives:
         system = make_two_state_system()
         barrier = field_from_callable(lambda x: x[0] - 10.0, 2)
         speed = field_from_callable(lambda x: x[1], 2)
-        assert lie_g(barrier, system, (5.0, 1.0)) == (0.0,)
-        assert lie_g(speed, system, (5.0, 1.0)) == (1.0,)
+        x = (5.0, 1.0)
+        assert _grad_times_matrix(barrier.gradient(x), system.g(x), 2, 1) == (0.0,)
+        assert _grad_times_matrix(speed.gradient(x), system.g(x), 2, 1) == (1.0,)
         assert lie_h(speed, system, (5.0, 1.0)) == (1.0,)
 
     @given(
@@ -136,9 +135,7 @@ class TestLieDerivatives:
         vector_map = lambda s: (s[1] + 1.0, s[0] * 0.5 - 2.0)
         f = field_from_callable(lambda s: s[0] * s[0] + s[1], 2)
         g = field_from_callable(lambda s: s[0] * s[1] - 3.0 * s[1], 2)
-        combined = lie_derivative_field(
-            derive_field("sum", f, g, weights=(a, b)), vector_map
-        )
+        combined = lie_derivative_field(f * a + g * b, vector_map)
         separate_a = lie_derivative_field(f, vector_map)
         separate_b = lie_derivative_field(g, vector_map)
         expected = a * separate_a.value(x) + b * separate_b.value(x)
@@ -164,38 +161,6 @@ class TestLieDerivatives:
         approx = fd_gradient(lf2.value, x)
         for a, e in zip(lf2.gradient(x), approx):
             assert a == pytest.approx(e, rel=1e-5, abs=1e-6)
-
-
-class TestSquaredNormField:
-    def test_values_match_explicit_norm(self):
-        h = lambda x: ((x[1], 1.0), (0.5, x[0]))
-        f = field_from_callable(lambda x: x[0] * x[1], 2)
-        sq = lie_row_squared_norm_field(f, h, width=2)
-        x = (2.0, 3.0)
-        grad = f.gradient(x)
-        mat = h(x)
-        row = (
-            grad[0] * mat[0][0] + grad[1] * mat[1][0],
-            grad[0] * mat[0][1] + grad[1] * mat[1][1],
-        )
-        assert sq.value(x) == pytest.approx(row[0] ** 2 + row[1] ** 2, rel=1e-12)
-
-    @given(st.tuples(finite, finite))
-    def test_gradient_matches_finite_difference_of_norm(self, x):
-        h = lambda s: ((s[1] * 0.3, 1.0), (0.5, 1.0 / (1.0 + 0.2 * s[0] * s[0])))
-        f = field_from_callable(lambda s: s[0] * s[0] + s[0] * s[1], 2)
-        sq = lie_row_squared_norm_field(f, h, width=2)
-        approx = fd_gradient(sq.value, x)
-        for a, e in zip(sq.gradient(x), approx):
-            assert a == pytest.approx(e, rel=1e-5, abs=1e-5)
-
-    def test_constant_row_has_unit_norm_and_zero_gradient(self):
-        # Identity-like disturbance rows give a constant squared norm.
-        h = lambda x: ((1.0,), (0.0,))
-        f = field_from_callable(lambda x: x[0] - 10.0, 2)
-        sq = lie_row_squared_norm_field(f, h, width=1)
-        assert sq.value((100.0, 13.89)) == 1.0
-        assert sq.gradient((100.0, 13.89)) == (0.0, 0.0)
 
 
 class TestReciprocalField:

@@ -78,9 +78,10 @@ class ControllerSpec:
     """Mode, safety cascade, stability spec, and quadratic tracking cost.
 
     mode names the cascade (one of MODES) for the run's records; the step
-    reads only the chain. objective_h is the symmetric positive-definite H of u'Hu; objective_f
-    maps the state to the linear cost row F(x) (a constant row is also
-    accepted). control_period is the zero-order-hold duration in seconds.
+    reads only the chain. objective_h is the symmetric positive-definite H
+    of u'Hu; objective_f maps the state to the linear cost row F(x) (a
+    constant row is also accepted). control_period is the zero-order-hold
+    duration in seconds.
 
     The first control_step traces the spec's assembly into a compiled step
     (see _compile_step). For that, the system's f, g and h, objective_f and

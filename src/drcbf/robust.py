@@ -280,6 +280,8 @@ def build_drcbf_chain(
         levels.append(
             _young_drift_field(levels[-1], system, gains[i - 1]) - gains[i - 1] * bound_sq
         )
+    # bound ** 2, not bound_sq: the compiled step bakes this constant in,
+    # and a power need not round as a product does.
     top_penalty = bound ** 2
     return DrcbfChain(
         system=system,

@@ -67,6 +67,10 @@ def documents() -> dict:
     return docs
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def study_run(doc: dict, directory: Path) -> dict:
     """Digests and summary figures of one run."""
     execute_document(doc, out_dir=directory)
@@ -74,10 +78,7 @@ def study_run(doc: dict, directory: Path) -> dict:
     for key in UNSTABLE:
         del summary[key]
     return {
-        "sha256": {
-            name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
-            for name in ARTIFACTS
-        },
+        "sha256": {name: sha256((directory / name).read_bytes()) for name in ARTIFACTS},
         "summary": summary,
     }
 
@@ -98,10 +99,6 @@ def log_configs() -> dict:
         "adrcbf", disturbance_spec=worst, horizon=5.0, verify=False
     )
     return configs
-
-
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def log_run(config) -> dict:

@@ -27,14 +27,13 @@ from math import isfinite
 from operator import neg
 from typing import Callable
 
+from ._trace import _Trace, _Traced
 from .fields import (
     ControlAffineSystem,
     SmoothScalarField,
     _CheckedState,
     _grad_dot,
     _grad_times_matrix,
-    _Trace,
-    _Traced,
     as_state,
 )
 from .qp import QpProblem, _inverse_cholesky_factor, _kernel_lines, _prelude, solve_qp

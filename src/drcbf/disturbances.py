@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import _Trace
+from ._trace import _Trace
 
 __all__ = [
     "DisturbanceError",
@@ -262,7 +262,7 @@ def _compile_lookup(realization: SignalRealization):
     """evaluate for realization as one generated straight-line function of t:
     the horizon check with its message, then the channels of
     _lookup_channels, as the trace's simplification leaves them (see
-    drcbf.fields._Trace).
+    drcbf._trace._Trace).
     """
     namespace = {
         "DisturbanceError": DisturbanceError,

@@ -46,7 +46,8 @@ from .disturbances import (
     evaluate as evaluate_signal,
     realize,
 )
-from .fields import ControlAffineSystem, _CheckedState, _Deopt, _Trace, _Traced, as_state
+from ._trace import _Deopt, _Trace, _Traced
+from .fields import ControlAffineSystem, _CheckedState, as_state
 from .qp import QpProblem, solve_qp
 from .robust import DegenerateConstraintError, membership
 

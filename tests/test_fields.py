@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drcbf._trace import _Deopt, _Trace
 from drcbf.fields import (
     ControlAffineSystem,
     DimensionMismatchError,
     FieldError,
     ReciprocalGuardError,
-    _Deopt,
     _grad_times_matrix,
-    _Trace,
     as_state,
     clamped_guards,
     constant_field,

@@ -12,9 +12,11 @@ import functools
 import math
 import re
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import copysign
 from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub, truediv
+
 
 class _Deopt(Exception):
     """A comparison recorded by a trace comes out differently here."""
@@ -31,6 +33,8 @@ _OVERFLOW = Fraction(2**1024 - 2**970)
 # The names of the recorded operations' results in source.
 _RESULT_NAME = re.compile(r"\bt\d+\b|\b_finite\d+\b")
 _NO_NAMES = frozenset()
+# The deepest nesting of operations written into one another.
+_INLINE_DEPTH = 40
 
 
 def _negative_zero(c):
@@ -47,10 +51,18 @@ class _Trace:
 
     inputs(), input() and local() hand out traced floats; the evaluation runs
     on them, and each operation it does is recorded (see _Traced). A caller
-    then writes its own lines, which read the results by operand() and make
-    their finiteness checks by check(), and simplify() rewrites the recorded
-    operations before render() and resolve() give the source; function()
-    does all three.
+    writes its own lines, which read the results by operand() and make their
+    finiteness checks by check(), after the recorded operations or between
+    them by line(), and simplify() rewrites the recorded operations before
+    render() and resolve() give the source; function() does all three.
+
+    Between block() and end_block(), the operations form a block: a run of
+    straight-line code under a loop header that a recorded comparison leaves
+    by `break`, in place of raising _Deopt, so that the code after it (the
+    next block, say) takes another path. Inside a block a comparison is the
+    condition to leave it, and it takes the path that stays in the block
+    whatever the traced values, so that the trace records every operation of
+    the block; an operation that raises there is recorded with a NaN result.
 
     simplify() keeps every result bit for bit (any NaN standing for any
     other). The rules:
@@ -85,20 +97,33 @@ class _Trace:
     function may thus decline where the evaluation's own would not, never
     the other way round. Then every operation whose result is no longer
     read, and which cannot raise, is dropped. A recorded comparison is never
-    dropped or moved.
+    moved, and dropped only where its operands are constants.
+
+    A break is no decline: a folded result may steer a comparison in a
+    block, and the code then goes on down another path. So a check counts
+    for a name only where no comparison in a block and no block's end lie
+    between the name and the check. Each comparison and end of a block with
+    a decline line is a check of its own, which runs that line where it
+    fails; a rule taking a name formed in the block as finite adds the name
+    there. Common right-hand sides are not shared out of a block, whose
+    names are unbound or stale after it. A block comparison of constants
+    passes, and is dropped, or leaves the block, which then ends there.
     """
 
     def __init__(self):
         # (index, result name or None for a comparison, kind, source template
         # with one {} per operand, operands): kind is an operator symbol,
-        # "neg", "abs", "call" or "guard"; an operand is a name or a constant.
+        # "neg", "abs", "call" or "guard", a comparison symbol for a block's
+        # comparison, or "block", "line" and "end", whose templates are a
+        # block's header and lists of a caller's lines, those of a block's
+        # end included; an operand is a name or a constant.
         self.ops = []
         # Non-finite constants, which have no literal, by the global names
         # they are bound to.
         self.constants = {}
         self.n_inputs = 0
-        # One entry per argument of function(): its name, and the names of
-        # the inputs it is unpacked into (None for a single input).
+        # One entry per argument of function(): its name, and the target it is
+        # unpacked into (None for a single input).
         self.arguments = []
         # Set when an operation raised: the evaluation may have caught it and
         # branched on it, which the recorded operations would not show.
@@ -112,11 +137,13 @@ class _Trace:
         self.replaced = {}
         self.kept = None
         # The number of operations recorded before each input and local and
-        # before each check() (with the values it checks), and the names
-        # simplify() adds to each check.
+        # before each check (with the values it checks and, for a block's
+        # check, its decline line), and the names simplify() adds to each.
         self.positions = {}
         self.checks = []
         self.extra = []
+        # The open block's start and decline line.
+        self.open = None
 
     def _traced(self, name, value):
         if value.__class__ is float:
@@ -138,12 +165,26 @@ class _Trace:
 
     def inputs(self, values):
         """Traced floats holding values: the next argument of function(), a
-        sequence of exactly that many entries."""
-        start = self.n_inputs
-        self.n_inputs += len(values)
-        names = [f"x{i}" for i in range(start, self.n_inputs)]
-        self.arguments.append((f"a{len(self.arguments)}", names))
-        return tuple(self._leaf(name, v) for name, v in zip(names, values))
+        sequence of exactly that many entries, each a float or a tuple of
+        such entries, which the argument's must match."""
+
+        def unpack(entries):
+            traced, target = [], ""
+            for v in entries:
+                if v.__class__ is tuple:
+                    inner, text = unpack(v)
+                    traced.append(inner)
+                    target += f"({text}), "
+                else:
+                    name = f"x{self.n_inputs}"
+                    self.n_inputs += 1
+                    traced.append(self._leaf(name, v))
+                    target += f"{name}, "
+            return tuple(traced), target
+
+        traced, target = unpack(values)
+        self.arguments.append((f"a{len(self.arguments)}", target))
+        return traced
 
     def local(self, name, value, non_negative=False):
         """A traced float holding value, read from the local name of the
@@ -195,18 +236,90 @@ class _Trace:
         """Record the comparison template, which raises _Deopt."""
         self.ops.append((len(self.ops), None, "guard", template, operands))
 
+    def compare(self, symbol, operands, outcome):
+        """Record the comparison of operands by symbol, which came out as
+        outcome here: a guard, or in a block the condition to leave it.
+        Returns the outcome the evaluation goes on with."""
+        if self.open is None:
+            self.guard(f"if {'not ' if outcome else ''}({{}} {symbol} {{}}): raise _Deopt", operands)
+            return outcome
+        self._block_check()
+        self.ops.append((len(self.ops), None, symbol, f"if {{}} {symbol} {{}}: break", operands))
+        return False
+
     def check(self, values):
         """Source that is true where the traced floats and constants values
         are all finite: a check the caller's code makes at this point of the
         evaluation, on every path that does not decline. simplify() may add
         names to it."""
-        self.checks.append((len(self.ops), list(values)))
+        self.checks.append((len(self.ops), list(values), None))
         return f"_finite{len(self.checks) - 1}"
+
+    def line(self, text):
+        """Record text, a caller's line, to run at this point."""
+        self.ops.append((len(self.ops), None, "line", [text], ()))
+
+    def block(self, header, decline=None):
+        """Open a block (see above) under the line header, e.g. "while
+        True:". decline, a line that makes the generated function decline,
+        lets simplify() add checks in the block."""
+        self.open = len(self.ops), decline
+        self.ops.append((len(self.ops), None, "block", header, ()))
+
+    def end_block(self, lines):
+        """Close the open block with lines, which run where it was not left
+        and must leave it, by a return or by making its header's condition
+        false. With lines None, a comparison of constants left the block
+        here, so it always is: the block is dropped, or, if an operation in
+        it may raise, it breaks here."""
+        start, _ = self.open
+        if lines is None and all(_safe(op) for op in self.ops[start:] if op[1] is not None):
+            for op in self.ops[start:]:
+                self.floats.discard(op[1])
+                self.never_negative_zero.discard(op[1])
+            del self.ops[start:]
+            self.checks = [c for c in self.checks if c[0] <= start]
+        else:
+            if lines is None:
+                self.ops.append((len(self.ops), None, "break", "break", ()))
+            self._block_check()
+            self.ops.append((len(self.ops), None, "end", list(lines or ()), ()))
+        self.open = None
+
+    def _block_check(self):
+        decline = self.open[1]
+        if decline is not None:
+            self.checks.append((len(self.ops), [], decline))
 
     def simplify(self, lines):
         """Rewrite the recorded operations by the rules above, for a function
         whose caller's lines read the results that occur in them."""
-        reads = set(_RESULT_NAME.findall("\n".join(lines)))
+        own = [text for op in self.ops if op[2] in ("line", "end") for text in op[3]]
+        reads = set(_RESULT_NAME.findall("\n".join([*lines, *own])))
+        # The comparisons in blocks and the blocks' ends, past which a folded
+        # result may steer the code, and the blocks' spans.
+        barriers = [op[0] for op in self.ops if op[2] in _COMPARISONS or op[2] == "end"]
+        starts = [op[0] for op in self.ops if op[2] == "block"]
+        ends = [op[0] for op in self.ops if op[2] == "end"]
+
+        def block_of(at):
+            # The block holding position at, or -1.
+            i = bisect_left(starts, at) - 1
+            return i if i >= 0 and at <= ends[i] else -1
+
+        def sites(folds):
+            # The checks that run on every path to each fold (a position),
+            # before its result can steer anything past a barrier: before
+            # the fold, outside blocks or in its block, or after it, with no
+            # barrier in between.
+            spans = []
+            for p in folds:
+                i = bisect_left(barriers, p)
+                spans.append((p, block_of(p), barriers[i] if i < len(barriers) else math.inf))
+            return [i for i, (at, block) in enumerate(placed) if all(
+                block in (-1, own) if at <= p else at <= bound for p, own, bound in spans)]
+
+        placed = [(at, block_of(at)) for at, _, _ in self.checks]
         blocked = set()
         while True:
             replaced, kept, assumed = self._rewrite(blocked)
@@ -214,23 +327,30 @@ class _Trace:
             def names(found):
                 return {n for n in (replaced.get(v, v) for v in found) if n.__class__ is str}
 
-            checked = names(v.name for _, values in self.checks for v in values
-                            if v.__class__ is _Traced)
-            live = names(reads) | checked
-            reach = set(checked)
-            for _, name, kind, _, args in reversed(_prune(kept, set(live))):
-                if name in reach:
-                    if kind in _PROPAGATING:
-                        reach.update(a for a in args if a.__class__ is str)
-                    elif kind == "/" and args[0].__class__ is str:
-                        reach.add(args[0])
+            checked = [names(v.name for v in values if v.__class__ is _Traced)
+                       for _, values, _ in self.checks]
+            live = names(reads).union(*checked)
+            pruned = _prune(kept, set(live))
+            indices = [op[0] for op in pruned]
+            # The names that reach each check.
+            reach = []
+            for (at, _, _), found in zip(self.checks, checked):
+                found = set(found)
+                for _, name, kind, _, args in reversed(pruned[:bisect_left(indices, at)] if found else ()):
+                    if name in found:
+                        if kind in _PROPAGATING:
+                            found.update(a for a in args if a.__class__ is str)
+                        elif kind == "/" and args[0].__class__ is str:
+                            found.add(args[0])
+                reach.append(found)
             # A name that reaches no check is checked itself where it is
             # formed, or through the operand it cannot be finite without.
             defined = {op[1]: op for op in kept if op[1] is not None}
             extra = [[] for _ in self.checks]
             missing = set()
-            for name in sorted(assumed):
-                if name in reach:
+            for name, folds in sorted(assumed.items()):
+                valid = sites(folds)
+                if any(name in reach[i] for i in valid):
                     continue
                 nodes, steps = [name], []
                 step = _implied(defined.get(name))
@@ -239,29 +359,31 @@ class _Trace:
                     steps.append(step[1:])
                     step = _implied(defined.get(step[0]))
                 # The operands that name cannot be non-finite without: one
-                # that reaches a check, or else the farthest.
+                # that reaches a check, or else the farthest with a check
+                # after it.
                 roots = [y for j, y in enumerate(nodes) if _stays_finite(steps[:j][::-1])]
-                if any(y in reach for y in roots):
+                if any(y in reach[i] for i in valid for y in roots):
                     continue
-                root = roots[-1]
-                formed = defined[root][0] + 1 if root in defined else self.positions[root] + 1
-                site = next((i for i, (at, _) in enumerate(self.checks) if at >= formed), None)
+                site = next(((i, y) for y in reversed(roots) for i in valid
+                             if self.checks[i][0] >= (defined[y][0] + 1 if y in defined
+                                                      else self.positions[y] + 1)), None)
                 if site is None:
                     missing.add(name)
-                elif root not in extra[site]:
-                    extra[site].append(root)
+                elif site[1] not in extra[site[0]]:
+                    extra[site[0]].append(site[1])
             if not missing:
                 self.replaced, self.extra = replaced, extra
-                self.kept = _prune(kept, live | {n for added in extra for n in added})
+                self.pinned = live | {n for added in extra for n in added}
+                self.kept = _prune(kept, set(self.pinned))
                 return
             blocked |= missing
 
     def _rewrite(self, blocked):
         """One pass of the rules over the recorded operations, taking no name
         in blocked as finite: (replaced, kept, assumed), the replacement of
-        each rewritten result, the operations left and the names taken as
-        finite."""
-        replaced, seen, zeros, signs, kept, assumed = {}, {}, {}, {}, [], set()
+        each rewritten result, the operations left and the positions of the
+        operations that take each name as finite."""
+        replaced, seen, zeros, signs, kept, assumed = {}, {}, {}, {}, [], {}
         floats = self.floats
         non_negative = set(self.non_negative)
         never_negative_zero = self.never_negative_zero | non_negative
@@ -363,16 +485,27 @@ class _Trace:
             return None
 
         get = replaced.get
+        outer = []
         for index, name, kind, template, args in self.ops:
             # Constants are no keys of replaced: they come back as they are.
             args = tuple([get(a, a) for a in args])
             if name is None:
+                if kind == "block":
+                    outer.append(seen)
+                    seen = dict(seen)
+                elif kind == "end":
+                    seen = outer.pop()
+                elif kind in _COMPARISONS and not any(a.__class__ is str for a in args):
+                    if not _COMPARISONS[kind](*args):
+                        continue
+                    kind, template, args = "break", "break", ()
                 kept.append((index, name, kind, template, args))
                 continue
             rule = rewrite(kind, args)
             if rule is not None:
                 replaced[name], needs = rule
-                assumed |= needs
+                for y in needs:
+                    assumed.setdefault(y, []).append(index)
                 continue
             codes = [a if a.__class__ is str else f"~{a!r}" for a in args]
             if kind in ("+", "*"):
@@ -414,13 +547,56 @@ class _Trace:
 
     def render(self, start=0, stop=None):
         """The source lines of the kept operations recorded from position
-        start (see mark()) to stop, in order."""
+        start (see mark()) to stop, in order, with the checks simplify()
+        added in blocks; a block's lines are indented under its header, up
+        to a comparison that always leaves it."""
         stop = len(self.ops) if stop is None else stop
-        lines = []
-        for index, name, _, template, args in self.kept:
-            if start <= index < stop:
-                text = template.format(*map(self._source, args))
-                lines.append(text if name is None else f"{name} = {text}")
+        checks = [(at, i) for i, (at, _, decline) in enumerate(self.checks)
+                  if decline is not None and self.extra[i]]
+        # An operation that cannot raise, whose result one later operation
+        # alone reads, in the same block or outside blocks alike and in
+        # these lines, is written into that operation, up to a depth the
+        # parser takes.
+        readers, owners, block = {}, {}, -1
+        for op in self.kept:
+            index, name, kind, _, args = op
+            block = index if kind == "block" else -1 if kind == "end" else block
+            for a in args:
+                if a.__class__ is str:
+                    readers.setdefault(a, []).append((index, block))
+            if name is not None and _safe(op):
+                owners[name] = block
+        inline = {name for name, block in owners.items() if name not in self.pinned
+                  and len(readers.get(name, ())) == 1 and readers[name][0][1] == block
+                  and start <= readers[name][0][0] < stop}
+        texts, depths = {}, {}
+
+        def source(a):
+            return f"({texts.pop(a)})" if a in texts else self._source(a)
+
+        lines, indent, left = [], "", False
+        for index, name, kind, template, args in self.kept:
+            if not start <= index < stop:
+                continue
+            while checks and checks[0][0] <= index:
+                at, i = checks.pop(0)
+                if at >= start and not left:
+                    lines.append(f"{indent}if not (_finite{i}): {self.checks[i][2]}")
+            if kind == "block":
+                lines.append(template)
+                indent = "    "
+            elif kind == "end" or kind == "line":
+                lines += [] if left else [indent + line for line in template]
+                if kind == "end":
+                    indent, left = "", False
+            elif not left:
+                depth = 1 + max([depths.get(a, 0) for a in args if a in texts], default=0)
+                text = template.format(*map(source, args))
+                if name in inline and depth < _INLINE_DEPTH:
+                    texts[name], depths[name] = text, depth
+                else:
+                    lines.append(indent + (text if name is None else f"{name} = {text}"))
+                    left = kind == "break"
         return lines
 
     def resolve(self, text):
@@ -453,7 +629,7 @@ class _Trace:
         included), the function raises too, or returns None if it declines.
         """
         self.simplify(tail)
-        body = [f"{''.join(f'{x}, ' for x in xs)}= {arg}" for arg, xs in self.arguments if xs]
+        body = [f"{target}= {arg}" for arg, target in self.arguments if target]
         body += self.render()
         body += tail
         if declines:
@@ -469,17 +645,20 @@ class _Trace:
         return globals_.pop("traced")
 
 
+def _safe(op):
+    """Whether op is an operation that cannot raise."""
+    _, _, kind, _, args = op
+    return kind in _PROPAGATING or kind == "/" and args[1].__class__ is not str and args[1] != 0.0
+
+
 def _prune(kept, live):
     """kept without the operations whose results nothing in live or after
     them reads, except comparisons and operations that can raise."""
     out = []
     for op in reversed(kept):
-        _, name, kind, _, args = op
-        safe = kind in _PROPAGATING or (
-            kind == "/" and args[1].__class__ is not str and args[1] != 0.0
-        )
-        if name is None or name in live or not safe:
-            live.update(a for a in args if a.__class__ is str)
+        name = op[1]
+        if name is None or name in live or not _safe(op):
+            live.update(a for a in op[4] if a.__class__ is str)
             out.append(op)
     out.reverse()
     return out
@@ -534,7 +713,8 @@ class _Traced:
     order the evaluation performs it, so the generated function repeats the
     evaluation's float operations exactly, up to the trace's simplification.
     A comparison is recorded as a guard: the generated function raises
-    _Deopt where it comes out differently. Any other use fails the trace.
+    _Deopt where it comes out differently, or in a block leaves it where it
+    comes out true (see _Trace). Any other use fails the trace.
     """
 
     __slots__ = ("trace", "name", "value")
@@ -556,8 +736,10 @@ class _Traced:
         try:
             result = _ARITHMETIC[symbol](left, right)
         except ArithmeticError:
-            self.trace.raised = True
-            raise
+            if self.trace.open is None:
+                self.trace.raised = True
+                raise
+            result = math.nan
         args = (key, self.name) if swapped else (self.name, key)
         return self.trace.record(symbol, f"{{}} {symbol} {{}}", args, result)
 
@@ -568,10 +750,7 @@ class _Traced:
             right = key = other
         else:
             return NotImplemented
-        outcome = _COMPARISONS[symbol](self.value, right)
-        self.trace.guard(f"if {'not ' if outcome else ''}({{}} {symbol} {{}}): raise _Deopt",
-                         (self.name, key))
-        return outcome
+        return self.trace.compare(symbol, (self.name, key), _COMPARISONS[symbol](self.value, right))
 
     def __add__(self, other):
         return self._arithmetic(other, "+", False)

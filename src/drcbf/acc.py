@@ -277,7 +277,6 @@ def build_acc_controller(
 
     h, f_row = tracking_objective(params)
     return ControllerSpec(
-        mode=mode,
         chain=chain,
         clf=speed_tracking_clf(params),
         objective_h=h,

@@ -12,10 +12,10 @@ control period.
 
 A spec's first step compiles the whole step into one generated function of
 the state (see _compile_step): the traced assembly of both rows and the
-cost, the output checks, the QP's active-set enumeration from the lines
-drcbf.qp generates for its own kernels, with this spec's factor of Q baked
-in as literals, and the result. The step through the public layers stays as
-the exact fallback.
+cost, the output checks, the QP's active-set enumeration traced as
+drcbf.qp traces it for its own kernels, with this spec's factor of Q as
+literals, and the result. The step through the public layers stays as the
+exact fallback.
 """
 
 from __future__ import annotations
@@ -36,7 +36,14 @@ from .fields import (
     _grad_times_matrix,
     as_state,
 )
-from .qp import QpProblem, _inverse_cholesky_factor, _kernel_lines, _prelude, solve_qp
+from .qp import (
+    QpProblem,
+    _enumerate,
+    _inverse_cholesky_factor,
+    _prelude,
+    _traced_sum,
+    solve_qp,
+)
 from .robust import BETA_DEGENERACY_TOL, AffineControlConstraint, evaluate_with_clamping
 
 __all__ = [
@@ -49,9 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_CONTROL_PERIOD = 1e-3
-
-MODES = ("hocbf", "drcbf", "adrcbf")
-
 
 class ControllerError(ValueError):
     """Invalid controller specification."""
@@ -74,10 +78,10 @@ class ClfSpec:
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Mode, safety cascade, stability spec, and quadratic tracking cost.
+    """Safety cascade, stability spec, and quadratic tracking cost.
 
-    mode names the cascade (one of MODES) for the run's records; the step
-    reads only the chain. objective_h is the symmetric positive-definite H
+    The run's records label the spec by its cascade (see
+    BarrierCascade.mode). objective_h is the symmetric positive-definite H
     of u'Hu; objective_f maps the state to the linear cost row F(x) (a
     constant row is also accepted). control_period is the zero-order-hold
     duration in seconds.
@@ -90,7 +94,6 @@ class ControllerSpec:
     results.
     """
 
-    mode: str
     chain: object
     clf: ClfSpec
     objective_h: tuple
@@ -98,8 +101,6 @@ class ControllerSpec:
     control_period: float = DEFAULT_CONTROL_PERIOD
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ControllerError(f"unknown controller mode {self.mode!r}")
         if not self.control_period > 0.0:
             raise ControllerError("control period must be strictly positive")
         h = tuple(tuple(float(v) for v in row) for row in self.objective_h)
@@ -174,14 +175,15 @@ def _compile_step(spec: ControllerSpec, xs):
     or False.
 
     The step's float work before the QP is traced once at xs (see
-    _trace_assembly). The function repeats it, checks its outputs as the
-    generic step's layers do, runs the QP's active-set enumeration with the
-    spec's factor of Q baked in (see _step_lines) and builds the result. It
-    returns the generic step's ControlStepResult, or None wherever the
-    generic step has something else to do: a comparison recorded by the
-    trace comes out differently (a guard breach), the traced assembly
-    raises, an output is non-finite or the safety row is degenerate. The
-    caller then runs the generic step. A QP that is not solved needs no
+    _trace_assembly), then its output checks and the QP's active-set
+    enumeration with the spec's factor of Q as literals (see _trace_qp),
+    each accepted active set returning its result with the residuals. The
+    function repeats all of it. It returns the generic step's
+    ControlStepResult, or None wherever the generic step has something else
+    to do: a comparison recorded by the trace outside the QP comes out
+    differently (a guard breach), the traced assembly raises, an output is
+    non-finite or the safety row is degenerate, or a check the trace's
+    simplification added fails. The caller then runs the generic step. A QP that is not solved needs no
     fallback: without guard events the generic step reports it the same
     way. If the trace fails, the spec keeps the generic step, which then
     raises or clamps as the evaluation itself does.
@@ -209,12 +211,12 @@ def _compile_step(spec: ControllerSpec, xs):
             )
 
         def accept(z, subset, lam):
-            return [result(f"({''.join(f'{x}, ' for x in z[:p])})", z[p], "'optimal'",
-                           *_residuals(trace, outputs, z), repr(subset))]
+            return [result(op(tuple(z[:p])), op(z[p]), "'optimal'",
+                           *map(op, _residuals(outputs, z)), repr(subset))]
 
+        _trace_qp(spec, trace, outputs, "return None", accept)
         reject = [result("()", "nan", "'infeasible'", "nan", "nan", "()")]
-        lines = _step_lines(spec, trace, outputs, "return None", accept, reject)
-        return trace.function(lines, _STEP_NAMESPACE, declines=True)
+        return trace.function(reject, _STEP_NAMESPACE, declines=True)
     except Exception:
         return False
 
@@ -268,69 +270,35 @@ _STEP_NAMESPACE = {
 }
 
 
-def _step_lines(spec, trace, outputs, decline, accept, reject, condition="True"):
-    """The lines of a traced step after its assembly (see _trace_assembly):
-    the generic step's output checks, which run the line decline where they
-    fail, then the QP with the spec's factor of its quadratic baked in, from
-    qp._kernel_lines with accept, reject and condition. They need sqrt and
-    isfinite as globals. The squared norm of the safety row, its negation
-    and the QP's prelude (see qp._prelude) are recorded on trace, so that
-    the trace's simplification covers them; the trace's operations up to
-    this call must be rendered before these lines.
+def _trace_qp(spec, trace, outputs, decline, accept, header="while True:"):
+    """Record on trace, after a step's assembly (see _trace_assembly), the
+    generic step's output checks, which run the line decline where they
+    fail, then the QP's active-set enumeration (see qp._enumerate) with the
+    spec's factor of its quadratic as literals, each active set a block
+    under header whose accepted set runs the lines accept returns. The
+    generated code needs sqrt and isfinite as globals.
     """
     row, offset, clf_row, clf_offset, c, _ = outputs
     R = _inverse_cholesky_factor(spec._qp_quadratic)
     op = trace.operand
-
-    def dot(u, w):
-        return _traced_sum(trace, [a * b for a, b in zip(u, w)])
-
-    norm = dot(row, row)
+    norm = _traced_sum(trace, [a * a for a in row])
     # Both rows normalized to <= sense: the safety row flips sign.
     A = (clf_row, (*map(neg, row), 0.0))
     b = (clf_offset, -offset)
-    y, v, g, e = _prelude(
-        R, c, A, b, lambda name, u, w: dot(u, w), lambda name, u, w, bi: -dot(u, w) - bi
-    )
+    prelude = _prelude(trace, R, c, A, b)
     checked = [v for v in (offset, clf_offset, *row, *clf_row, *c)
                if v.__class__ is _Traced or not isfinite(v)]
-    lines = [
-        f"if not (sqrt({op(norm)}) >= {BETA_DEGENERACY_TOL!r} and {trace.check(checked)}):"
-        f" {decline}"
-    ]
-    lines += _kernel_lines(
-        [list(map(op, r)) for r in R],
-        (list(map(op, y)), [list(map(op, vi)) for vi in v],
-         {ij: op(gij) for ij, gij in g.items()}, list(map(op, e))),
-        [list(map(op, a)) for a in A],
-        list(map(op, b)),
-        accept,
-        reject,
-        condition,
-    )
-    return lines
+    trace.line(f"if not (sqrt({op(norm)}) >= {BETA_DEGENERACY_TOL!r} and {trace.check(checked)}):"
+               f" {decline}")
+    _enumerate(trace, R, A, b, prelude, accept, header, decline)
 
 
-def _traced_sum(trace, terms):
-    """sum(terms) as qp._sum spells it, on traced floats and constants."""
-    if len(terms) > 2:
-        return trace.call(f"sum(({'{}, ' * len(terms)}))", lambda *t: sum(t), terms)
-    total = 0.0 if terms else 0
-    for term in terms:
-        total = total + term
-    return total
-
-
-def _residuals(trace, outputs, z):
-    """Sources of the safety and stability residuals at the locals z of an
-    accepted QP solution, in _step_result's order (fields._grad_dot's: left
-    to right from the first product)."""
+def _residuals(outputs, z):
+    """The safety and stability residuals at an accepted QP solution z, in
+    _step_result's order."""
     row, offset, clf_row, clf_offset, _, _ = outputs
-    op = trace.operand
     p = len(row)
-    cbf_dot = " + ".join(f"{op(r)} * {x}" for r, x in zip(row, z))
-    clf_dot = " + ".join(f"{op(r)} * {x}" for r, x in zip(clf_row, z[:p]))
-    return f"{cbf_dot} - {op(offset)}", f"{op(clf_offset)} - ({clf_dot} - {z[p]})"
+    return _grad_dot(row, z, p) - offset, clf_offset - (_grad_dot(clf_row, z, p) - z[p])
 
 
 def control_step(spec: ControllerSpec, x, t: float) -> ControlStepResult:

@@ -22,13 +22,17 @@ cached, as CVXGEN does for its solvers (Mattingley and Boyd, Optim. Eng.
 active set's LDL' factor, multipliers and checks, with no loop over
 subsets or rows. It performs the same float operations in the same order
 as the generic loop it replaces (kept as reference_solve_qp in the test
-oracles), so its solutions are bit-identical to that loop's. The lines of
-the enumeration come from one generator, _kernel_lines, after the prelude
-of _prelude; the compiled control step (drcbf.controller) shares both:
-there the factor of Q is baked in as literals per controller spec, the
-data are the traced step's values, the prelude is recorded on its trace
-(which folds the products with the factor's zeros) and an accepted active
-set builds the step's result instead of a QpSolution.
+oracles), so its solutions are bit-identical to that loop's.
+
+The enumeration is written once, as arithmetic and comparisons on the
+floats of a trace (see drcbf._trace): _prelude forms the data it reads,
+and _enumerate records one block per active set, which a failed check
+leaves. Tracing it with every entry of the data an input gives the kernel.
+The compiled control step (drcbf.controller) and the simulator's loop
+(drcbf.simulate) trace it too, with the factor of Q as literals and the
+traced step's values as the data, so that the trace folds the products
+with the factor's zeros, and an accepted active set builds their result
+instead of a QpSolution.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+
+from ._trace import _Trace
 
 __all__ = ["QpValidationError", "QpProblem", "QpSolution", "solve_qp"]
 
@@ -146,230 +152,182 @@ def _inverse_cholesky_factor(Q):
     return tuple(tuple(row[: i + 1]) for i, row in enumerate(R))
 
 
-def _sum(terms):
-    """Source for sum(terms) as the generic solver computed it: the builtin
-    sum, from int 0. Up to two terms it is spelled out, as 0.0 + t0 + t1
-    rounds exactly like sum on every Python version; longer sums stay calls,
-    because sum adds compensated since Python 3.12."""
-    if not terms:
-        return "0"
+def _traced_sum(trace, terms):
+    """sum(terms) as the generic solver computed it, on traced floats and
+    constants: the builtin sum, from int 0. Up to two terms it is spelled
+    out, as 0.0 + t0 + t1 rounds exactly like sum on every Python version;
+    longer sums stay calls, because sum adds compensated since Python 3.12."""
     if len(terms) > 2:
-        return f"sum(({', '.join(terms)},))"
-    return "(0.0 + " + " + ".join(terms) + ")"
+        return trace.call(f"sum(({'{}, ' * len(terms)}))", lambda *t: sum(t), terms)
+    total = 0.0 if terms else 0
+    for term in terms:
+        total = total + term
+    return total
 
 
-def _dot(u, v):
-    return _sum([f"{a} * {b}" for a, b in zip(u, v)])
+def _dot(trace, u, w):
+    return _traced_sum(trace, [a * b for a, b in zip(u, w)])
 
 
-def _chain(first, op, terms):
-    """first op t0 op t1 ...: an in-place accumulation, one term at a time."""
-    return f" {op} ".join([first, *terms])
+def _prelude(trace, R, c, A, b):
+    """The data the enumeration reads, in the coordinates of R, recorded on
+    trace as (y, v, gram, gap): y = R c and v_i = R a_i, so that z0 = -R'y,
+    gram[i, j] = v_i . v_j = (A Q^-1 A')_ij for i <= j, and the gaps
+    gap_i = (A z0 - b)_i = -v_i . y - b_i. R is the rows of the lower
+    triangle."""
+    rows = range(len(b))
+    y = [_dot(trace, r, c) for r in R]
+    v = [[_dot(trace, r, a) for r in R] for a in A]
+    gram = {(i, j): _dot(trace, v[i], v[j]) for i in rows for j in rows[i:]}
+    gap = [-_dot(trace, vi, y) - bi for vi, bi in zip(v, b)]
+    return y, v, gram, gap
 
 
-def _ldl_lines(subset, g):
-    """LDL' factor of gram[S, S] for active set S, as (lines, m, d): the
-    locals m[i][j] = L_ij and d[i] hold the factor.
-    Every pivot is checked right after it is formed, and a pivot below
-    RANK_TOL times its diagonal entry (rows of A_S dependent to rounding)
-    skips S before anything divides by it.
-    """
-    lines = []
-    m, d = [], []
+def _ldl(g, subset):
+    """LDL' factor of gram[S, S] for active set S, as (L as rows of its
+    strictly lower part, the pivots d). Every pivot is checked right after
+    it is formed: None where one is at or below RANK_TOL times its diagonal
+    entry (rows of A_S dependent to rounding), before anything divides by
+    it."""
+    L, d = [], []
     for i, si in enumerate(subset):
-        row = [f"m{i}_{j}" for j in range(i)]
-        sums = []
+        row, sums = [], []
         for j in range(i):
             s = g(si, subset[j])
-            if j:
-                terms = [f"{row[k]} * {m[j][k]} * {d[k]}" for k in range(j)]
-                lines.append(f"s{j} = " + _chain(s, "-", terms))
-                s = f"s{j}"
-            lines.append(f"{row[j]} = {s} / {d[j]}")
+            for k in range(j):
+                s = s - row[k] * L[j][k] * d[k]
+            row.append(s / d[j])
             sums.append(s)
         pivot = g(si, si)
-        if i:
-            terms = [f"{row[j]} * {sums[j]}" for j in range(i)]
-            lines.append(f"d{i} = " + _chain(pivot, "-", terms))
-            pivot = f"d{i}"
-        lines.append(f"if {pivot} <= {RANK_TOL!r} * {g(si, si)}: break")
-        m.append(row)
+        for j in range(i):
+            pivot = pivot - row[j] * sums[j]
+        if pivot <= RANK_TOL * g(si, si):
+            return None
+        L.append(row)
         d.append(pivot)
-    return lines, m, d
+    return L, d
 
 
-def _ldl_solve_lines(m, d, rhs, out):
-    """Solve LDL' x = rhs into the locals out[i]: forward over L, then
-    x_i / d_i minus the later x_k, in the order of the generic solve."""
-    lines = []
+def _ldl_solve(factor, rhs):
+    """Solve LDL' x = rhs: forward over L, then x_i / d_i minus the later
+    x_k."""
+    L, d = factor
     forward = []
     for i, r in enumerate(rhs):
-        if i:
-            terms = [f"{m[i][k]} * {forward[k]}" for k in range(i)]
-            lines.append(f"f{i} = " + _chain(r, "-", terms))
-            r = f"f{i}"
+        for k in range(i):
+            r = r - L[i][k] * forward[k]
         forward.append(r)
+    x = list(forward)
     for i in reversed(range(len(d))):
-        later = [f"{m[k][i]} * {out[k]}" for k in range(i + 1, len(d))]
-        lines.append(f"{out[i]} = " + _chain(f"{forward[i]} / {d[i]}", "-", later))
-    return lines
+        x[i] = forward[i] / d[i]
+        for k in range(i + 1, len(d)):
+            x[i] = x[i] - L[k][i] * x[k]
+    return x
 
 
-def _prelude(R, c, A, b, dot, gap):
-    """The data the enumeration reads, in the coordinates of R, as (y, v,
-    g, e): y = R c and v_i = R a_i, so that z0 = -R'y, the Gram matrix
-    g[i, j] = v_i . v_j = (A Q^-1 A')_ij for i <= j, and the gaps
-    e_i = (A z0 - b)_i = -v_i . y - b_i.
+def _candidate(trace, R, A, b, prelude, g, subset):
+    """(z, multipliers) of active set subset, or None where a check fails:
+    the LDL' pivots with their rank check, the multipliers and their sign
+    check (min's left-to-right scan), the screening of the other rows, the
+    refinement step, z = -R'w and the feasibility check of every row on z.
+    Each check is a comparison whose truth fails the set."""
+    y, v, _, gap = prelude
+    lam, factor = [], None
+    if subset:
+        factor = _ldl(g, subset)
+        if factor is None:
+            return None
+        lam = _ldl_solve(factor, [gap[s] for s in subset])
+        lowest = lam[0] if len(lam) == 1 else trace.call(f"min({'{}, ' * len(lam)})", min, lam)
+        if lowest < -MULTIPLIER_TOL:
+            return None
+    # At the candidate of S, A z - b = gap - (A Q^-1 A_S') lam: the rows
+    # outside S are screened with it before z is formed.
+    for i in range(len(b)):
+        if i not in subset:
+            value = gap[i]
+            for s, l in zip(subset, lam):
+                value = value - g(i, s) * l
+            if value > FEASIBILITY_TOL:
+                return None
+    # w = y + sum lam_s v_s, and z = -R'w. The multiplier terms of w cancel
+    # down to the size of Qz, which costs digits when Q is badly scaled; one
+    # refinement step with the same factor restores v_s . w = -b_s to
+    # rounding.
+    w = list(y)
+    if subset:
+        for j in range(len(w)):
+            for s, l in zip(subset, lam):
+                w[j] = w[j] + l * v[s][j]
+        delta = _ldl_solve(factor, [-_dot(trace, v[s], w) - b[s] for s in subset])
+        lam = [l + k for l, k in zip(lam, delta)]
+        for j in range(len(w)):
+            for s, k in zip(subset, delta):
+                w[j] = w[j] + k * v[s][j]
+    z = []
+    for j in range(len(w)):
+        zj = 0.0
+        for i in range(j, len(w)):
+            zj = zj - R[i][j] * w[i]
+        z.append(zj)
+    for a, bi in zip(A, b):
+        if _dot(trace, a, z) > bi + FEASIBILITY_TOL:
+            return None
+    return z, lam
 
-    dot(name, u, w) forms u . w as _sum spells it, and gap(name, u, w, bi)
-    forms -(u . w) - bi; name is the local the generic kernel keeps the
-    value in.
+
+def _enumerate(trace, R, A, b, prelude, accept, header="while True:", decline=None):
+    """Record the generic active-set enumeration on trace, after its prelude
+    (see _prelude): for every active set in combinations order, one block
+    under header (see _Trace.block) holding _candidate's float operations,
+    whose checks leave it. A set that passes them all runs the lines
+    accept(z, subset, multipliers) returns, given its traced z and
+    multipliers (the operations accept records belong to the block). The
+    tolerances are literals.
     """
-    rows, cols = range(len(b)), range(len(c))
-    y = [dot(f"y{k}", R[k], c) for k in cols]
-    v = [[dot(f"v{i}_{k}", R[k], A[i]) for k in cols] for i in rows]
-    g = {(i, j): dot(f"g{i}_{j}", v[i], v[j]) for i in rows for j in rows[i:]}
-    e = [gap(f"e{i}", v[i], y, b[i]) for i in rows]
-    return y, v, g, e
-
-
-def _kernel_lines(R, prelude, A, b, accept, reject, condition="True"):
-    """The generic active-set enumeration's float operations in their order,
-    as the lines of one generated function.
-
-    R, A and b are the sources of the data's entries (locals or literals),
-    R the rows of the lower triangle, and prelude the sources of y, v, g
-    and e (see _prelude), formed before these lines. For every active set
-    in combinations order, the lines form the LDL' pivots with their rank
-    check, the multipliers and their sign check, the screening of the other
-    rows, the refinement step, z = -R'w and the feasibility check of every
-    row on z. Each active set is a `while True` block that a failed check
-    leaves by `break`; the first to pass runs the lines accept(z, subset,
-    lam), given the locals of z and of the multipliers, which must return.
-    The lines reject run when none passes. With another condition than
-    "True" the accept lines may instead make it false, which skips every
-    later active set and leaves z in its locals; the lines reject then run
-    either way. The tolerances are baked in as literals.
-    """
-    y, v, gram, e = prelude
-    n_con, dim = len(b), len(y)
-    rows, cols = range(n_con), range(dim)
+    gram = prelude[2]
 
     def g(i, j):
         return gram[min(i, j), max(i, j)]
 
-    body = []
-    for size in range(min(dim, n_con) + 1):
+    rows = range(len(b))
+    for size in range(min(len(R), len(b)) + 1):
         for subset in combinations(rows, size):
-            lam = [f"l{t}" for t in range(size)]
-            block = []
-            if subset:
-                lines, m, d = _ldl_lines(subset, g)
-                block += lines
-                block += _ldl_solve_lines(m, d, [e[s] for s in subset], lam)
-                # min(lam) < -MULTIPLIER_TOL, with min's left-to-right scan.
-                if size > 1:
-                    block.append(f"lo = {lam[0]}")
-                    block += [f"if {l} < lo: lo = {l}" for l in lam[1:]]
-                lowest = "lo" if size > 1 else lam[0]
-                block.append(f"if {lowest} < {-MULTIPLIER_TOL!r}: break")
-            # At the candidate of S, A z - b = gap - (A Q^-1 A_S') lam: the
-            # rows outside S are screened with it before z is formed.
-            for i in rows:
-                if i not in subset:
-                    terms = [f"{g(i, s)} * {l}" for s, l in zip(subset, lam)]
-                    block.append(f"if {_chain(e[i], '-', terms)} > {FEASIBILITY_TOL!r}: break")
-            # w = y + sum lam_s v_s, and z = -R'w. The multiplier terms of w
-            # cancel down to the size of Qz, which costs digits when Q is
-            # badly scaled; one refinement step with the same factor restores
-            # v_s . w = -b_s to rounding.
-            w = y
-            if subset:
-                w = [f"w{j}" for j in cols]
-                for j in cols:
-                    terms = [f"{l} * {v[s][j]}" for s, l in zip(subset, lam)]
-                    block.append(f"{w[j]} = " + _chain(y[j], "+", terms))
-                delta = [f"k{t}" for t in range(size)]
-                rhs = [f"h{t}" for t in range(size)]
-                block += [f"{rhs[t]} = -{_dot(v[s], w)} - {b[s]}" for t, s in enumerate(subset)]
-                block += _ldl_solve_lines(m, d, rhs, delta)
-                block += [f"{l} = {l} + {k}" for l, k in zip(lam, delta)]
-                for j in cols:
-                    terms = [f"{k} * {v[s][j]}" for s, k in zip(subset, delta)]
-                    block.append(f"{w[j]} = " + _chain(w[j], "+", terms))
-            z = [f"z{j}" for j in cols]
-            for j in cols:
-                terms = [f"{R[i][j]} * {w[i]}" for i in range(j, dim)]
-                block.append(f"{z[j]} = " + _chain("0.0", "-", terms))
-            block += [
-                f"if {_dot(A[i], z)} > {b[i]} + {FEASIBILITY_TOL!r}: break" for i in rows
-            ]
-            block += accept(z, subset, lam)
-            body += [f"while {condition}:", *(f"    {line}" for line in block)]
-    return body + list(reject)
+            trace.block(header, decline)
+            found = _candidate(trace, R, A, b, prelude, g, subset)
+            trace.end_block(None if found is None else accept(found[0], subset, found[1]))
 
 
 @lru_cache(maxsize=32)
 def _kernel(n_con, dim):
-    """solve_qp for problems of one shape, as one generated function.
-
-    kernel(R, Q, c, A, b) unpacks its data into locals and runs the lines of
-    _kernel_lines; an accepted active set returns its solution, with the
-    objective in QpProblem.objective's order.
+    """solve_qp for problems of one shape, as one generated function
+    kernel(R, Q, c, A, b) of the data: the enumeration traced with every
+    entry of R, Q, c, A and b an input. An accepted active set returns its
+    solution, with the objective in QpProblem.objective's order.
     """
-    rows, cols = range(n_con), range(dim)
-    R = [[f"r{i}_{j}" for j in range(i + 1)] for i in cols]
-    Q = [[f"q{i}_{j}" for j in cols] for i in cols]
-    c = [f"c{j}" for j in cols]
-    A = [[f"a{i}_{j}" for j in cols] for i in rows]
-    b = [f"b{i}" for i in rows]
-
-    def items(names):
-        return "".join(f"{name}, " for name in names)
-
-    def tup(names):
-        return f"({items(names)})"
-
-    def unpack(names, data):
-        return f"{items(names)}= {data}"
+    trace = _Trace()
+    R = trace.inputs(tuple((0.0,) * (i + 1) for i in range(dim)))
+    Q = trace.inputs(((0.0,) * dim,) * dim)
+    c = trace.inputs((0.0,) * dim)
+    A = trace.inputs(((0.0,) * dim,) * n_con)
+    b = trace.inputs((0.0,) * n_con)
+    op = trace.operand
 
     def accept(z, subset, lam):
-        terms = [f"{z[i]} * {Q[i][j]} * {z[j]}" for i in cols for j in cols]
-        quad = _chain("0.0", "+", terms)
-        multipliers = ["0.0"] * n_con
+        quad = 0.0
+        for i, row in enumerate(Q):
+            for j, qij in enumerate(row):
+                quad = quad + z[i] * qij * z[j]
+        multipliers = [0.0] * n_con
         for s, l in zip(subset, lam):
             multipliers[s] = l
-        return [
-            f"return QpSolution({tup(z)}, {subset!r}, 0.5 * ({quad}) + {_dot(c, z)},"
-            f" 'optimal', {tup(multipliers)})"
-        ]
+        objective = 0.5 * quad + _dot(trace, c, z)
+        return [f"return QpSolution({op(tuple(z))}, {subset!r}, {op(objective)}, 'optimal',"
+                f" {op(tuple(multipliers))})"]
 
-    body = []
-    if dim:
-        body += [
-            unpack(map(tup, R), "R"),
-            unpack(map(tup, Q), "Q"),
-            unpack(c, "c"),
-        ]
-        if n_con:
-            body.append(unpack(map(tup, A), "A"))
-    if n_con:
-        body.append(unpack(b, "b"))
-
-    def named(name, expression):
-        body.append(f"{name} = {expression}")
-        return name
-
-    prelude = _prelude(
-        R, c, A, b,
-        lambda name, u, w: named(name, _dot(u, w)),
-        lambda name, u, w, bi: named(name, f"-{_dot(u, w)} - {bi}"),
-    )
-    body += _kernel_lines(R, prelude, A, b, accept, ["return QpSolution((), (), inf, 'infeasible', ())"])
-    source = "def kernel(R, Q, c, A, b):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"QpSolution": QpSolution, "inf": math.inf}
-    exec(source, namespace)
-    return namespace["kernel"]
+    _enumerate(trace, R, A, b, _prelude(trace, R, c, A, b), accept)
+    return trace.function(["return QpSolution((), (), inf, 'infeasible', ())"],
+                          {"QpSolution": QpSolution, "inf": math.inf})
 
 
 def solve_qp(problem: QpProblem) -> QpSolution:

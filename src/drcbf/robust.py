@@ -182,6 +182,14 @@ class BarrierCascade:
     B: object = None                            # the BarrierEnergy
     gamma: tuple = ()                           # and Gamma_0..Gamma_{m-1}
 
+    @property
+    def mode(self) -> str:
+        """The cascade's label in a run's records: "drcbf" with a disturbance
+        bound, "adrcbf" with energies, "hocbf" with neither."""
+        if self.disturbance_bound is not None:
+            return "drcbf"
+        return "hocbf" if self.B is None else "adrcbf"
+
     def evaluate(self, x) -> ChainEvaluation:
         """One fused pass: level values, top drift, control row, phi values
         and the safety offset

@@ -35,8 +35,8 @@ from typing import Optional
 from .controller import (
     ControllerSpec,
     _residuals,
-    _step_lines,
     _trace_assembly,
+    _trace_qp,
     control_step,
 )
 from .disturbances import (
@@ -400,25 +400,29 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
     The first step's float work runs once at the initial state on traced
     floats of one _Trace, in an empty context: the realization's lookup at
     t = 0 (see drcbf.disturbances._lookup_channels), the controller's
-    assembly (see drcbf.controller._trace_assembly) and QP prelude, then
-    RK4 with the control the QP gives there, the first substep from the
-    traced state and, with more substeps, one more from fresh locals, which
-    the loop repeats. The trace's simplification (see _Trace) then folds
-    operations with exact zeros and ones and computes a repeated right-hand
-    side once, across all of them. Each iteration of the loop does a whole
+    assembly (see drcbf.controller._trace_assembly), its output checks and
+    the QP's active-set enumeration, one block per active set (see
+    drcbf.controller._trace_qp), then the residuals and RK4 with the
+    control the QP gives there, read from the locals z<i> that the accepted
+    block sets: the first substep from the traced state and, with more
+    substeps, one more from fresh locals, which the loop repeats. The
+    trace's simplification (see drcbf._trace._Trace) then folds operations
+    with exact zeros and ones, with the QP's factor of Q among them, and
+    computes a repeated right-hand side once, within the code outside the
+    blocks and within each block. Each iteration of the loop does a whole
     control step: the lookup, the traced assembly with the generic step's
-    output checks, the QP's active-set enumeration (see
-    drcbf.controller._step_lines), the traced RK4 substeps, each with the
-    finiteness check, and the step's record: its row of floats extended
-    onto log.values in one call, and one entry appended to each of log's
-    lists.
+    output checks, the QP's blocks, the residuals, the traced RK4
+    substeps, each with the finiteness check, and the step's record: its
+    row of floats extended onto log.values in one call, and one entry
+    appended to each of log's lists.
 
     loop(k, x) takes steps k, k + 1, ... from state x. It returns (k, x)
     with the step untouched where the per-step body has something else to
-    do: a comparison recorded by the trace comes out differently (a guard
-    breach), an operation raises, an output is non-finite or the safety row
-    degenerate, the QP is not solved, the state goes non-finite or the time
-    leaves the realization's horizon. After the last step it returns
+    do: a comparison recorded by the trace outside the QP comes out
+    differently (a guard breach), an operation raises, an output is
+    non-finite or the safety row degenerate, a check the trace's
+    simplification added fails, the QP is not solved, the state goes
+    non-finite or the time leaves the realization's horizon. After the last step it returns
     (steps, final state).
     """
     system, spec, realization = config.system, config.controller, config.disturbance
@@ -427,9 +431,8 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
     trace = _Trace()
     op = trace.operand
     xs = trace.inputs(config.x0)
-    # Besides the trace's x<i>, t<i> and K<i> and the QP's locals (see
-    # drcbf.qp._kernel_lines), the loop's locals are k, t, x, active,
-    # sub<i>, values_extend and <list>_append.
+    # Besides the trace's x<i>, t<i> and K<i>, the loop's locals are k, t,
+    # x, active, z<i>, sub<i>, values_extend and <list>_append.
     namespace = {"_Deopt": _Deopt, "sqrt": sqrt, "isfinite": isfinite, "LOG": log}
     lookup = []
     if realization is None:
@@ -441,11 +444,9 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
         namespace["LIMIT"] = _horizon_limit(realization)
         lookup = ["if t > LIMIT: return k, x"]
     assembly = trace.mark()
-    z = []
 
-    def accept(solution, subset, lam):
-        z[:] = solution
-        return [f"active = {subset!r}"]
+    def accept(z, subset, lam):
+        return [f"active = {subset!r}", *(f"z{j} = {op(v)}" for j, v in enumerate(z))]
 
     def substep(state):
         return _rk4_sum(state, _rk4_stages(system, state, us, ds, h), h)
@@ -462,8 +463,7 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
         outputs = _trace_assembly(spec, trace, xs)
         if not outputs:
             return None
-        qp = _step_lines(spec, trace, outputs, "return k, x", accept,
-                         ["if active is None: return k, x"], "active is None")
+        _trace_qp(spec, trace, outputs, "return k, x", accept, "while active is None:")
         first = trace.mark()
         # The first step's control, at which RK4 is traced.
         row, offset, clf_row, clf_offset, c, _ = _values(outputs)
@@ -471,7 +471,9 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
                                       A=(clf_row, (*map(neg, row), 0.0)), b=(clf_offset, -offset)))
         if solution.status != "optimal":
             return None
-        us = tuple(trace.local(name, v) for name, v in zip(z, solution.z[:system.p]))
+        z = tuple(trace.local(f"z{j}", v) for j, v in enumerate(solution.z))
+        residuals = _residuals(outputs, z)
+        us = z[:system.p]
         state = contextvars.Context().run(substep, xs)
         later = trace.mark()
         after_first = [finite(state)]
@@ -485,8 +487,8 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
             state = subs
         if trace.raised:
             return None
-        row = log.row("t", map(op, xs), map(op, us), z[system.p], map(op, ds),
-                      map(op, outputs[5]), *_residuals(trace, outputs, z))
+        row = log.row("t", map(op, xs), map(op, us), op(z[system.p]), map(op, ds),
+                      map(op, outputs[5]), *map(op, residuals))
         tail = [
             f"values_extend(({', '.join(row)}))",
             "qp_statuses_append('optimal')",
@@ -495,7 +497,7 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
             *assign(map(op, xs), state),
             f"x = {op(xs)}",
         ]
-        trace.simplify([*qp, *after_first, *repeat, *tail])
+        trace.simplify([*after_first, *repeat, *tail])
         rk4 = trace.render(first, later) + after_first
         if substeps > 1:
             rk4 += [f"for _ in range({substeps - 1}):",
@@ -505,7 +507,8 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
             *lookup,
             *trace.render(0, assembly),
             "try:",
-            *(f"    {line}" for line in [*trace.render(assembly, first), "active = None", *qp, *rk4]),
+            *(f"    {line}" for line in ["active = None", *trace.render(assembly, first),
+                                         "if active is None: return k, x", *rk4]),
             "except Exception:",
             "    return k, x",
             *tail,
@@ -564,7 +567,7 @@ def run_simulation(config: SimulationConfig) -> TrajectoryLog:
 
     log = TrajectoryLog(system.n, system.p, system.q, controller.chain.m)
     log.metadata = {
-        "mode": controller.mode,
+        "mode": controller.chain.mode,
         "horizon": config.horizon,
         "control_period": dt,
         "integrator_substeps": substeps,

@@ -22,6 +22,7 @@ that a test can patch them.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 from functools import lru_cache
@@ -590,7 +591,7 @@ def reference_run(config):
 
     log = TrajectoryLog(system.n, system.p, system.q, controller.chain.m)
     log.metadata = {
-        "mode": controller.mode,
+        "mode": controller.chain.mode,
         "horizon": config.horizon,
         "control_period": dt,
         "integrator_substeps": substeps,
@@ -655,6 +656,107 @@ def assert_same_run(config):
     return log
 
 
+def straight_line_regions(lines):
+    """Lines of generated code, stripped, split into their straight-line
+    regions: first the lines outside blocks (while loops), then each
+    block's own."""
+    regions = [[]]
+    depth = None
+    for line in lines:
+        indent = len(line) - len(line.lstrip())
+        if depth is not None and indent <= depth:
+            depth = None
+        if depth is None and line.strip().startswith("while "):
+            depth = indent
+            regions.append([])
+        else:
+            regions[0 if depth is None else -1].append(line.strip())
+    return regions
+
+
+def literal(node):
+    """The value of node, a literal of generated code (a number or a negated
+    one), or None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = literal(node.operand)
+        return None if value is None else -value
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return node.value
+    return None
+
+
+def operations(lines):
+    """The float operations in lines of generated code, as ast nodes: every
+    binary operation and every negation of a non-literal, each written into
+    another one included. Headers of compound statements hold none."""
+    found = []
+    for line in lines:
+        if line.rstrip().endswith(":"):
+            continue
+        for node in ast.walk(ast.parse(line.strip())):
+            if isinstance(node, ast.BinOp) or (
+                isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and literal(node) is None
+            ):
+                found.append(node)
+    return found
+
+
+def canonical(node):
+    """A key of an expression of generated code, the same for the operands
+    of + and * in either order."""
+    if isinstance(node, ast.BinOp):
+        parts = [canonical(node.left), canonical(node.right)]
+        if isinstance(node.op, (ast.Add, ast.Mult)):
+            parts.sort(key=repr)
+        return (type(node.op).__name__, *parts)
+    if isinstance(node, ast.UnaryOp):
+        return (type(node.op).__name__, canonical(node.operand))
+    return ast.dump(node)
+
+
+def generated_sources(config):
+    """The source of each function the library generates for config, by
+    kind: "loop" (run_simulation's loop), "step" (the spec's control step),
+    "rk4" (the system's RK4 step) and "kernel" (solve_qp's kernel of the
+    step's QP shape).
+
+    Runs one control period of config, then one control step and one RK4
+    step at x0 with the spec's and the system's compiled functions reset,
+    and builds the kernel afresh, with exec shadowed in the modules that
+    call it, so that each source is recorded as it is compiled.
+    """
+    from dataclasses import replace
+
+    from drcbf import _trace, qp, simulate
+
+    sources = {}
+
+    def recording(source, namespace):
+        kind = ("loop" if source.startswith("def loop(") else
+                "kernel" if "QpSolution" in source else
+                "step" if "ControlStepResult" in source else "rk4")
+        sources[kind] = source
+        exec(source, namespace)
+
+    spec, system = config.controller, config.system
+    modules = (_trace, qp, simulate)
+    for module in modules:
+        module.exec = recording
+    try:
+        run_simulation(replace(config, horizon=config.control_period))
+        object.__setattr__(spec, "_step", None)
+        object.__setattr__(system, "_rk4", None)
+        u = control_step(spec, config.x0, 0.0).u
+        d = (0.0,) * system.q if config.disturbance is None else evaluate_signal(config.disturbance, 0.0)
+        integrate_step(system, config.x0, u, d, config.control_period / config.integrator_substeps)
+        qp._kernel.__wrapped__(2, system.p + 1)
+    finally:
+        for module in modules:
+            del module.exec
+    return sources
+
+
 def planar_double_integrator():
     """A plant of input width 2: x = (p_x, p_y, v_x, v_y) with p_x' = v_x +
     d1, p_y' = v_y, v_x' = u1 and v_y' = u2 + d2. d1 is unmatched and enters
@@ -693,7 +795,6 @@ def triple_integrator_config(mode, horizon):
         "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, gains, (1.0, 1.0, 1.0)),
     }[mode]()
     controller = ControllerSpec(
-        mode=mode,
         chain=chain,
         clf=ClfSpec(
             V=field_from_callable(lambda x: (x[1] + x[2] - 1.0) * (x[1] + x[2] - 1.0), 3),
@@ -728,7 +829,6 @@ def planar_config(mode, horizon):
         "adrcbf": lambda: build_adrcbf_chain(system, barrier, coeffs, (20.0, 20.0), (1.0, 1.0)),
     }[mode]()
     controller = ControllerSpec(
-        mode=mode,
         chain=chain,
         clf=ClfSpec(
             V=field_from_callable(lambda x: (x[2] - 1.0) * (x[2] - 1.0) + x[3] * x[3], 4),

@@ -115,7 +115,6 @@ class TestControllerSpecValidation:
         chain = drcbf_spec().chain
         with pytest.raises((ValueError, ControllerError)):
             ControllerSpec(
-                mode="drcbf",
                 chain=chain,
                 clf=clf,
                 objective_h=((1.0, 0.2), (0.0, 1.0)),
@@ -135,7 +134,6 @@ class TestControllerSpecValidation:
         clf = speed_tracking_clf(PARAMS)
         chain = drcbf_spec().chain
         spec = ControllerSpec(
-            mode="drcbf",
             chain=chain,
             clf=clf,
             objective_h=((2.0,),),
@@ -287,7 +285,7 @@ def plant_with_input_gain(gain):
     )
 
 
-def hand_built_spec(system, *, V=None, objective_f=(0.0,), mode="hocbf", chain=None):
+def hand_built_spec(system, *, V=None, objective_f=(0.0,), chain=None):
     n = system.n
     if chain is None:
         barrier = field_from_callable(lambda x: x[0] - 1.0, n)
@@ -295,7 +293,6 @@ def hand_built_spec(system, *, V=None, objective_f=(0.0,), mode="hocbf", chain=N
     if V is None:
         V = field_from_callable(lambda x: (x[1] - 3.0) * (x[1] - 3.0), n)
     return ControllerSpec(
-        mode=mode,
         chain=chain,
         clf=ClfSpec(V=V, sigma=1.0, slack_weight=10.0),
         objective_h=((1.0,),),
@@ -357,7 +354,6 @@ class TestCompiledStep:
     def test_untraceable_objective_keeps_the_generic_step(self):
         spec = build_acc_controller(PARAMS, "drcbf", disturbance_bound=BOUND)
         spec = ControllerSpec(
-            mode=spec.mode,
             chain=spec.chain,
             clf=spec.clf,
             objective_h=spec.objective_h,
@@ -521,6 +517,5 @@ def triple_integrator_spec(mode):
         system,
         V=field_from_callable(lambda x: (x[1] + x[2] - 1.0) * (x[1] + x[2] - 1.0), 3),
         objective_f=lambda x: (0.5 * x[2],),
-        mode=mode,
         chain=chain,
     )

@@ -1,6 +1,8 @@
 """Jet-evaluable scalar fields, Lie derivatives, and relative-degree checks."""
 
+import ast
 import math
+import operator
 from operator import add, mul, neg, sub, truediv
 
 import pytest
@@ -30,7 +32,7 @@ from drcbf.acc import build_study
 from drcbf.controller import control_step
 from drcbf.disturbances import evaluate as evaluate_signal
 from drcbf.simulate import integrate_step
-from oracles import fd_gradient
+from oracles import canonical, fd_gradient, literal, operations, straight_line_regions
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -342,6 +344,61 @@ def _run(program, inputs):
     return values
 
 
+# Programs in blocks, for the property test of blocks: a straight-line
+# prefix, a check of some of its last values, then 2-4 blocks, each a run
+# of steps with one comparison among them that leaves the block. A block
+# reads the inputs and the prefix's values and its own, and returns its
+# index and its last two values; with every block left, the program
+# returns (-1, ()).
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "==": operator.eq, "!=": operator.ne}
+_STEPS = st.lists(st.tuples(st.sampled_from(sorted(_OPERATIONS)), _OPERAND, _OPERAND),
+                  min_size=1, max_size=6)
+_BLOCKED = st.tuples(
+    st.integers(1, 3),
+    _STEPS,
+    st.lists(st.booleans(), min_size=1, max_size=3),
+    st.lists(st.tuples(_STEPS, st.integers(0, 40), st.sampled_from(sorted(_COMPARE)),
+                       st.integers(0, 40), st.integers(0, 6)), min_size=2, max_size=4),
+)
+
+
+def _steps(steps, values):
+    for kind, *operands in steps:
+        a, b = (values[o % len(values)] if o.__class__ is int else o for o in operands)
+        values.append(_OPERATIONS[kind](a, b))
+    return values
+
+
+def _run_blocked(program, inputs, trace=None):
+    """A blocked program on floats: (the block taken, its values), or None
+    where the check fails. On traced inputs, it records the program on
+    trace instead, with "return None" to decline."""
+    _, prefix, checks, blocks = program
+    base = _steps(prefix, list(inputs))
+    checked = [v for v, check in zip(base[-len(checks):], checks) if check]
+    if trace is not None:
+        trace.line(f"if not ({trace.check(checked)}): return None")
+    elif not all(map(math.isfinite, checked)):
+        return None
+    for index, (steps, i, symbol, j, at) in enumerate(blocks):
+        if trace is not None:
+            trace.block("while True:", "return None")
+        values, left = list(base), False
+        for k in range(len(steps) + 1):
+            if k == at % (len(steps) + 1) and _COMPARE[symbol](values[i % len(values)],
+                                                               values[j % len(values)]):
+                left = True
+                break
+            values = _steps(steps[k:k + 1], values)
+        outputs = tuple(values[-2:])
+        if trace is not None:
+            trace.end_block(None if left else [f"return ({index}, {trace.operand(outputs)})"])
+        elif not left:
+            return index, outputs
+    return -1, ()
+
+
 class TestSimplification:
     """The trace's simplification keeps every result bit for bit, or the
     simplified function declines where the evaluation's checks fail."""
@@ -374,6 +431,63 @@ class TestSimplification:
             want = _run(program, inputs)[-len(checks):]
             assert all(math.isfinite(v) for v, check in zip(want, checks) if check)
             assert repr(got) == repr(tuple(want)), (inputs, trace.render())
+
+    @settings(max_examples=400, deadline=None)
+    @given(_BLOCKED, st.lists(st.lists(st.sampled_from(_SPECIAL), min_size=3, max_size=3),
+                              min_size=1, max_size=12))
+    def test_blocks_take_the_same_block_with_the_same_bits_or_decline(self, program, cases):
+        n_inputs = program[0]
+        start = (1.5, -2.5, 3.0)[:n_inputs]
+        _, prefix, _, blocks = program
+        try:
+            base = _steps(prefix, list(start))
+            everything = base + [v for steps, *_ in blocks for v in _steps(steps, list(base))]
+            trace = _Trace()
+            _run_blocked(program, trace.inputs(start), trace)
+        except ZeroDivisionError:
+            return
+        function = trace.function(["return (-1, ())"], declines=True)
+        if all(map(math.isfinite, everything)):
+            assert function(start) is not None
+        for case in cases:
+            inputs = tuple(case[:n_inputs])
+            got = function(inputs)
+            if got is None:
+                continue
+            want = _run_blocked(program, inputs)
+            assert repr(got) == repr(want), (inputs, trace.render())
+
+    def test_a_fold_in_a_block_declines_before_it_steers_a_comparison(self):
+        # 0.0 + l * 0.0 is 0.0 for finite l only. At l = inf the evaluation
+        # reads nan < 1.0, stays in the first block and returns nan; with
+        # the fold it would read 0.0 < 1.0 and take the second block. So the
+        # fold is applied under a check of l before the comparison, which
+        # declines there.
+        def evaluate(x, y, trace=None):
+            if trace is not None:
+                trace.block("while True:", "return None")
+            l = x * y
+            w = 0.0 + l * 0.0
+            left = w < 1.0
+            if trace is not None:
+                trace.end_block([f"return (0, {trace.operand(w)})"])
+            elif not left:
+                return 0, w
+            return 1, x
+
+        trace = _Trace()
+        x, y = trace.inputs((2.0, 3.0))
+        evaluate(x, y, trace)
+        trace.block("while True:", "return None")
+        trace.end_block([f"return (1, {trace.operand(x)})"])
+        function = trace.function(["return None"], declines=True)
+        lines = trace.render()
+        assert not any("* 0.0" in line for line in lines), lines
+        assert any("isfinite" in trace.resolve(line) for line in lines), lines
+        assert function((2.0, 3.0)) == evaluate(2.0, 3.0) == (1, 2.0)
+        assert repr(evaluate(1e308, 10.0)) == "(0, nan)"
+        assert function((1e308, 10.0)) is None
+        assert function((math.nan, 1.0)) is None
 
     @pytest.mark.parametrize("check", ["other", "none", "nothing"])
     def test_a_zero_product_folds_only_where_a_check_sees_its_factor(self, check):
@@ -428,13 +542,16 @@ class TestGeneratedSources:
         integrate_step(config.system, config.x0, u, evaluate_signal(config.disturbance, 0.0), 1e-3)
         assert len(recorded) == 2
         for lines in recorded:
-            rhs = [line.split(" = ", 1)[1] for line in lines if not line.startswith("if ")]
-            assert len(rhs) > 40
-            keys = set()
-            for expression in rhs:
-                left, symbol, right = (expression.split(" ") + ["", ""])[:3]
-                assert not (symbol in ("*", "/") and right == "1.0"), expression
-                assert not (symbol == "*" and left == "1.0"), expression
-                # + and * commute: either order is the same right-hand side.
-                keys.add((symbol, *sorted((left, right))) if symbol in ("+", "*") else expression)
-            assert len(keys) == len(rhs)
+            # An operation is computed once within the code outside the QP's
+            # blocks and within each block, not across blocks.
+            regions = straight_line_regions(lines)
+            assert len(operations(regions[0])) > 40
+            for region in regions:
+                found = operations(region)
+                for node in found:
+                    assert not (isinstance(node.op, (ast.Mult, ast.Div)) and literal(node.right) == 1.0
+                                and isinstance(literal(node.right), float)), ast.unparse(node)
+                    assert not (isinstance(node.op, ast.Mult) and literal(node.left) == 1.0
+                                and isinstance(literal(node.left), float)), ast.unparse(node)
+                keys = [canonical(node) for node in found]
+                assert len(set(keys)) == len(keys)

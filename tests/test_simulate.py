@@ -1,5 +1,6 @@
 """Closed-loop engine: integrator exactness, grid discipline, fault handling."""
 
+import ast
 import dataclasses
 import gc
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from drcbf import simulate
+from drcbf.adaptive import AdrcbfChain
 from drcbf.controller import ClfSpec, ControllerSpec, control_step
 from drcbf.disturbances import evaluate as evaluate_signal
 from drcbf.fields import (
@@ -30,7 +32,7 @@ from drcbf.disturbances import (
     realize,
 )
 from drcbf.poles import coefficients_from_poles
-from drcbf.robust import build_hocbf_chain
+from drcbf.robust import DrcbfChain, HocbfChain, build_hocbf_chain
 from drcbf.simulate import (
     IntegrationFault,
     SimulationConfig,
@@ -149,7 +151,6 @@ def cubic_runaway_config(horizon=5.0, dt=0.1, cube=lambda v: v ** 3):
         slack_weight=1.0,
     )
     controller = ControllerSpec(
-        mode="hocbf",
         chain=chain,
         clf=clf,
         objective_h=((2.0,),),
@@ -226,6 +227,20 @@ class TestRunSimulation:
         assert log.metadata["mode"] == "drcbf"
         assert log.metadata["steps"] == 50
         assert len(log.disturbances[0]) == 2
+
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_the_log_labels_a_run_by_its_cascade(self, mode):
+        # A spec holds no label of its own: one built on a study's chain
+        # alone logs that chain's cascade.
+        config = build_study(mode, case=1, horizon=0.01, verify=False)
+        spec = config.controller
+        controller = ControllerSpec(chain=spec.chain, clf=spec.clf,
+                                    objective_h=spec.objective_h, objective_f=spec.objective_f)
+        log = run_simulation(dataclasses.replace(config, controller=controller))
+        assert type(spec.chain) is {"hocbf": HocbfChain, "drcbf": DrcbfChain,
+                                    "adrcbf": AdrcbfChain}[mode]
+        assert spec.chain.mode == mode
+        assert log.metadata["mode"] == mode
 
     def test_zero_disturbance_run_logs_zero_disturbance(self):
         config = build_study("hocbf", horizon=0.02, verify=False)
@@ -634,7 +649,6 @@ def untraceable_objective_config(horizon):
     config = build_study("drcbf", case=1, horizon=horizon, verify=False)
     spec = config.controller
     controller = ControllerSpec(
-        mode=spec.mode,
         chain=spec.chain,
         clf=spec.clf,
         objective_h=spec.objective_h,
@@ -655,6 +669,34 @@ class TestGeneratedLoop:
         log = assert_same_run(build_study(mode, case=case, horizon=8.0, verify=False))
         assert not log.failed
         assert log.metadata["fallback_steps"] == 0
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["hocbf", "drcbf", "adrcbf"])
+    def test_the_qp_blocks_of_study_loops_compute_nothing_of_literals(self, mode, case):
+        # The loop traces the QP's enumeration with the factor of Q and the
+        # rows' constant entries as literals, and the trace folds what they
+        # make exact: no product with a zero or with one, no quotient by
+        # one, and no operation or comparison of literals alone is left in
+        # the QP's four blocks. A 0.0 + t that starts a sum stays, as t may
+        # be -0.0.
+        source = oracles.generated_sources(build_study(mode, case=case, horizon=0.01,
+                                                       verify=False))["loop"]
+        regions = oracles.straight_line_regions(source.splitlines())
+        assert len(regions) == 5
+        for line in (line for region in regions[1:] for line in region):
+            for node in ast.walk(ast.parse(line)):
+                if isinstance(node, ast.BinOp):
+                    operands = [node.left, node.right]
+                elif isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                else:
+                    continue
+                values = [oracles.literal(operand) for operand in operands]
+                assert None in values, line
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                    assert not any(v == 0.0 or v == 1.0 for v in values if v is not None), line
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                    assert values[1] != 1.0, line
 
     def test_no_fallback_step_on_the_default_study_runs(self):
         for mode in ("hocbf", "drcbf", "adrcbf"):
@@ -758,7 +800,9 @@ class TestGeneratedLoop:
 
     def test_repeated_right_hand_sides_are_computed_once(self, monkeypatch):
         # One trace spans the assembly and RK4, so the drift that both
-        # evaluate at the state is computed once per step.
+        # evaluate at the state is computed once per step. A right-hand side
+        # is shared within the code outside the QP's blocks and within each
+        # block, not across blocks, whose names are unbound after a break.
         sources = []
 
         def spy(source, namespace):
@@ -768,10 +812,12 @@ class TestGeneratedLoop:
         monkeypatch.setattr(simulate, "exec", spy, raising=False)
         run_simulation(build_study("drcbf", case=1, horizon=0.01, verify=False))
         (source,) = sources
-        traced = [line.strip() for line in source.splitlines() if line.strip().startswith("t")]
-        rhs = [line.split(" = ", 1)[1] for line in traced if " = " in line]
-        assert len(rhs) > 100
-        assert len(set(rhs)) == len(rhs)
+        regions = oracles.straight_line_regions(source.splitlines())
+        assert len(regions) == 5
+        for lines in regions:
+            keys = [oracles.canonical(node) for node in oracles.operations(lines)]
+            assert len(set(keys)) == len(keys)
+        assert len(oracles.operations(regions[0])) > 100
 
     def test_dropped_runs_free_their_compiled_functions(self, monkeypatch):
         # No compiled function is in a reference cycle with its globals: a

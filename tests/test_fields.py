@@ -489,6 +489,23 @@ class TestSimplification:
         assert function((1e308, 10.0)) is None
         assert function((math.nan, 1.0)) is None
 
+    def test_a_check_past_a_block_does_not_cover_a_fold_in_it(self):
+        # x reaches a check after the blocks, which a block that returns
+        # never reaches: at x = inf the folded 0.0 + x * 0.0 would take the
+        # second block where the evaluation takes the first. The fold is
+        # checked in the first block instead.
+        trace = _Trace()
+        (x,) = trace.inputs((2.0,))
+        trace.block("while True:", "return None")
+        w = 0.0 + x * 0.0
+        assert not w < 1.0
+        trace.end_block([f"return (0, {trace.operand(w)})"])
+        trace.block("while True:", "return None")
+        trace.end_block([f"return (1, {trace.operand(x)})"])
+        function = trace.function([f"if {trace.check([x])}: return (-1, ())"], declines=True)
+        assert function((2.0,)) == (1, 2.0)
+        assert function((math.inf,)) is None
+
     @pytest.mark.parametrize("check", ["other", "none", "nothing"])
     def test_a_zero_product_folds_only_where_a_check_sees_its_factor(self, check):
         # x * 0.0 is a zero for finite x only, so 1.0 + x * 0.0 is 1.0 where

@@ -269,6 +269,18 @@ class TestGeneratedKernel:
         assert solution.active_set == (0, 1)
         assert solution.multipliers == pytest.approx((1e4, 1e4), rel=1e-6)
 
+    def test_a_nan_first_multiplier_passes_the_sign_check(self):
+        # min scans left to right: min(nan, x) is nan, which passes the sign
+        # check, where min(x, nan) is x. The pair's first multiplier here is
+        # inf - inf (its pivot is 1e-320, so e0 / d0 and m * l1 overflow),
+        # and its second is -1e155: the sets before it fail, and the pair is
+        # accepted with NaN z, as the reference accepts it.
+        problem = QpProblem(Q=((1.0, 0.0), (0.0, 1.0)), c=(0.0, 0.0),
+                            A=((1e-160, 0.0), (-1.0, 1.0)), b=(-1e-5, 2e155))
+        got = solve_qp(problem)
+        assert repr(got) == repr(reference_solve_qp(problem))
+        assert got.active_set == (0, 1)
+
     def test_signed_zeros(self):
         # Signed zeros in the data come out as the reference's, sign included.
         problem = QpProblem(Q=((2.0, 0.0), (0.0, 2.0)), c=(-0.0, 0.0), A=((-0.0, 1.0),), b=(0.0,))

@@ -132,10 +132,11 @@ class _Trace:
         self.floats = set()
         self.never_negative_zero = set()
         self.non_negative = set()
-        # Set by simplify(): each rewritten result's replacement, and the
-        # operations kept.
+        # Set by simplify(): each rewritten result's replacement, the
+        # operations kept and the results written into their reader.
         self.replaced = {}
         self.kept = None
+        self.inline = {}
         # The number of operations recorded before each input and local and
         # before each check (with the values it checks and, for a block's
         # check, its decline line), and the names simplify() adds to each.
@@ -373,8 +374,23 @@ class _Trace:
                     extra[site[0]].append(site[1])
             if not missing:
                 self.replaced, self.extra = replaced, extra
-                self.pinned = live | {n for added in extra for n in added}
-                self.kept = _prune(kept, set(self.pinned))
+                pinned = live | {n for added in extra for n in added}
+                self.kept = _prune(kept, set(pinned))
+                # An operation that cannot raise, whose result one later
+                # operation alone reads, in the same block or outside blocks
+                # alike, is written into it by render(), up to a depth the
+                # parser takes: the position of its reader, by its name.
+                readers, owners, block = {}, {}, -1
+                for op in self.kept:
+                    index, name, kind, _, args = op
+                    block = index if kind == "block" else -1 if kind == "end" else block
+                    for a in args:
+                        if a.__class__ is str:
+                            readers.setdefault(a, []).append((index, block))
+                    if name is not None and name not in pinned and _safe(op):
+                        owners[name] = block
+                self.inline = {name: readers[name][0][0] for name, block in owners.items()
+                               if len(readers.get(name, ())) == 1 and readers[name][0][1] == block}
                 return
             blocked |= missing
 
@@ -553,22 +569,6 @@ class _Trace:
         stop = len(self.ops) if stop is None else stop
         checks = [(at, i) for i, (at, _, decline) in enumerate(self.checks)
                   if decline is not None and self.extra[i]]
-        # An operation that cannot raise, whose result one later operation
-        # alone reads, in the same block or outside blocks alike and in
-        # these lines, is written into that operation, up to a depth the
-        # parser takes.
-        readers, owners, block = {}, {}, -1
-        for op in self.kept:
-            index, name, kind, _, args = op
-            block = index if kind == "block" else -1 if kind == "end" else block
-            for a in args:
-                if a.__class__ is str:
-                    readers.setdefault(a, []).append((index, block))
-            if name is not None and _safe(op):
-                owners[name] = block
-        inline = {name for name, block in owners.items() if name not in self.pinned
-                  and len(readers.get(name, ())) == 1 and readers[name][0][1] == block
-                  and start <= readers[name][0][0] < stop}
         texts, depths = {}, {}
 
         def source(a):
@@ -592,7 +592,7 @@ class _Trace:
             elif not left:
                 depth = 1 + max([depths.get(a, 0) for a in args if a in texts], default=0)
                 text = template.format(*map(source, args))
-                if name in inline and depth < _INLINE_DEPTH:
+                if start <= self.inline.get(name, -1) < stop and depth < _INLINE_DEPTH:
                     texts[name], depths[name] = text, depth
                 else:
                     lines.append(indent + (text if name is None else f"{name} = {text}"))

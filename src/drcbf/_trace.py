@@ -313,12 +313,13 @@ class _Trace:
             # before its result can steer anything past a barrier: before
             # the fold, outside blocks or in its block, or after it, with no
             # barrier in between.
-            spans = []
-            for p in folds:
+            valid = set(range(len(placed)))
+            for p in set(folds):
                 i = bisect_left(barriers, p)
-                spans.append((p, block_of(p), barriers[i] if i < len(barriers) else math.inf))
-            return [i for i, (at, block) in enumerate(placed) if all(
-                block in (-1, own) if at <= p else at <= bound for p, own, bound in spans)]
+                own, bound = block_of(p), barriers[i] if i < len(barriers) else math.inf
+                valid &= {j for j, (at, block) in enumerate(placed)
+                          if (block == -1 or block == own if at <= p else at <= bound)}
+            return sorted(valid)
 
         placed = [(at, block_of(at)) for at, _, _ in self.checks]
         blocked = set()
@@ -590,9 +591,11 @@ class _Trace:
                 if kind == "end":
                     indent, left = "", False
             elif not left:
-                depth = 1 + max([depths.get(a, 0) for a in args if a in texts], default=0)
+                depth = 0
+                if start <= self.inline.get(name, -1) < stop:
+                    depth = 1 + max([depths[a] for a in args if a in texts], default=0)
                 text = template.format(*map(source, args))
-                if start <= self.inline.get(name, -1) < stop and depth < _INLINE_DEPTH:
+                if 0 < depth < _INLINE_DEPTH:
                     texts[name], depths[name] = text, depth
                 else:
                     lines.append(indent + (text if name is None else f"{name} = {text}"))

@@ -171,24 +171,28 @@ def _dot(trace, u, w):
 
 def _prelude(trace, R, c, A, b):
     """The data the enumeration reads, in the coordinates of R, recorded on
-    trace as (y, v, gram, gap): y = R c and v_i = R a_i, so that z0 = -R'y,
-    gram[i, j] = v_i . v_j = (A Q^-1 A')_ij for i <= j, and the gaps
-    gap_i = (A z0 - b)_i = -v_i . y - b_i. R is the rows of the lower
+    trace as (y, v, gram, gap, floor, limit): y = R c and v_i = R a_i, so
+    that z0 = -R'y, gram[i, j] = v_i . v_j = (A Q^-1 A')_ij for i <= j, the
+    gaps gap_i = (A z0 - b)_i = -v_i . y - b_i, and the bounds of the
+    checks, floor_i = RANK_TOL gram[i, i] for a pivot of row i and limit_i =
+    b_i + FEASIBILITY_TOL for row i on z. R is the rows of the lower
     triangle."""
     rows = range(len(b))
     y = [_dot(trace, r, c) for r in R]
     v = [[_dot(trace, r, a) for r in R] for a in A]
     gram = {(i, j): _dot(trace, v[i], v[j]) for i in rows for j in rows[i:]}
     gap = [-_dot(trace, vi, y) - bi for vi, bi in zip(v, b)]
-    return y, v, gram, gap
+    floor = [RANK_TOL * gram[i, i] for i in rows]
+    limit = [bi + FEASIBILITY_TOL for bi in b]
+    return y, v, gram, gap, floor, limit
 
 
-def _ldl(g, subset):
+def _ldl(g, floor, subset):
     """LDL' factor of gram[S, S] for active set S, as (L as rows of its
     strictly lower part, the pivots d). Every pivot is checked right after
-    it is formed: None where one is at or below RANK_TOL times its diagonal
-    entry (rows of A_S dependent to rounding), before anything divides by
-    it."""
+    it is formed: None where one is at or below its floor, RANK_TOL times
+    its diagonal entry (rows of A_S dependent to rounding), before anything
+    divides by it."""
     L, d = [], []
     for i, si in enumerate(subset):
         row, sums = [], []
@@ -201,7 +205,7 @@ def _ldl(g, subset):
         pivot = g(si, si)
         for j in range(i):
             pivot = pivot - row[j] * sums[j]
-        if pivot <= RANK_TOL * g(si, si):
+        if pivot <= floor[si]:
             return None
         L.append(row)
         d.append(pivot)
@@ -231,10 +235,10 @@ def _candidate(trace, R, A, b, prelude, g, subset):
     check (min's left-to-right scan), the screening of the other rows, the
     refinement step, z = -R'w and the feasibility check of every row on z.
     Each check is a comparison whose truth fails the set."""
-    y, v, _, gap = prelude
+    y, v, _, gap, floor, limit = prelude
     lam, factor = [], None
     if subset:
-        factor = _ldl(g, subset)
+        factor = _ldl(g, floor, subset)
         if factor is None:
             return None
         lam = _ldl_solve(factor, [gap[s] for s in subset])
@@ -270,8 +274,8 @@ def _candidate(trace, R, A, b, prelude, g, subset):
         for i in range(j, len(w)):
             zj = zj - R[i][j] * w[i]
         z.append(zj)
-    for a, bi in zip(A, b):
-        if _dot(trace, a, z) > bi + FEASIBILITY_TOL:
+    for a, bound in zip(A, limit):
+        if _dot(trace, a, z) > bound:
             return None
     return z, lam
 

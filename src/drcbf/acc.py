@@ -156,15 +156,13 @@ def acc_system(params: AccParameters, disturbed: bool = True) -> ControlAffineSy
 def distance_barrier(params: AccParameters) -> SmoothScalarField:
     """Safety margin: gap minus the minimum allowed gap."""
     floor = params.min_distance
-    return field_from_callable(lambda x: x[0] - floor, 2, provenance="gap margin")
+    return field_from_callable(lambda x: x[0] - floor, 2)
 
 
 def speed_tracking_clf(params: AccParameters) -> ClfSpec:
     """Quadratic speed-tracking energy (v_f - v_d)^2 with its decay rate."""
     target = params.desired_speed
-    v_err_sq = field_from_callable(
-        lambda x: (x[1] - target) * (x[1] - target), 2, provenance="speed tracking"
-    )
+    v_err_sq = field_from_callable(lambda x: (x[1] - target) * (x[1] - target), 2)
     return ClfSpec(V=v_err_sq, sigma=params.clf_decay, slack_weight=params.slack_weight)
 
 
@@ -234,7 +232,6 @@ def build_acc_controller(
     disturbance_bound: float = 0.0,
     gains: Optional[Sequence] = None,
     adaptive_rates: Optional[Sequence] = None,
-    control_period: float = 1e-3,
     verify: bool = True,
     disturbed: bool = True,
 ) -> ControllerSpec:
@@ -281,7 +278,6 @@ def build_acc_controller(
         clf=speed_tracking_clf(params),
         objective_h=h,
         objective_f=f_row,
-        control_period=control_period,
     )
 
 
@@ -337,7 +333,6 @@ def build_study(
         disturbance_bound=bound,
         gains=resolved_gains,
         adaptive_rates=adaptive_rates,
-        control_period=control_period,
         verify=verify,
         disturbed=realized is not None or bound != 0.0,
     )

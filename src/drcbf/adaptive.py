@@ -63,9 +63,7 @@ class BarrierEnergy:
     def apply(self, field: SmoothScalarField) -> SmoothScalarField:
         evaluator = self.evaluator
         inner = field._evaluator
-        return SmoothScalarField(
-            lambda xs: evaluator(inner(xs)), field.n, "algebraic-composite"
-        )
+        return SmoothScalarField(lambda xs: evaluator(inner(xs)), field.n)
 
 
 def reciprocal_barrier_energy(guard: float = DEFAULT_ENERGY_GUARD) -> BarrierEnergy:

@@ -55,8 +55,6 @@ __all__ = [
     "control_step",
 ]
 
-DEFAULT_CONTROL_PERIOD = 1e-3
-
 class ControllerError(ValueError):
     """Invalid controller specification."""
 
@@ -83,8 +81,7 @@ class ControllerSpec:
     The run's records label the spec by its cascade (see
     BarrierCascade.mode). objective_h is the symmetric positive-definite H
     of u'Hu; objective_f maps the state to the linear cost row F(x) (a
-    constant row is also accepted). control_period is the zero-order-hold
-    duration in seconds.
+    constant row is also accepted).
 
     The first control_step traces the spec's assembly into a compiled step
     (see _compile_step). For that, the system's f, g and h, objective_f and
@@ -98,11 +95,8 @@ class ControllerSpec:
     clf: ClfSpec
     objective_h: tuple
     objective_f: Callable
-    control_period: float = DEFAULT_CONTROL_PERIOD
 
     def __post_init__(self):
-        if not self.control_period > 0.0:
-            raise ControllerError("control period must be strictly positive")
         h = tuple(tuple(float(v) for v in row) for row in self.objective_h)
         object.__setattr__(self, "objective_h", h)
         p = len(h)
@@ -139,9 +133,6 @@ class ControlStepResult:
     clf_residual: float
     phi: tuple
     guard_events: tuple
-    cbf_constraint: AffineControlConstraint
-    clf_row: tuple
-    clf_offset: float
     active_set: tuple
 
 
@@ -195,18 +186,14 @@ def _compile_step(spec: ControllerSpec, xs):
         outputs = _trace_assembly(spec, trace, trace.inputs(xs))
         if not outputs:
             return False
-        row, offset, clf_row, clf_offset, c, phi = outputs
         op = trace.operand
-        p = len(row)
+        p = len(outputs[0])
 
         def result(u, slack, status, cbf_residual, clf_residual, active_set):
             return (
                 f"return _frozen(ControlStepResult, {{'u': {u}, 'slack': {slack},"
                 f" 'qp_status': {status}, 'cbf_residual': {cbf_residual},"
-                f" 'clf_residual': {clf_residual}, 'phi': {op(phi)}, 'guard_events': (),"
-                f" 'cbf_constraint': _frozen(AffineControlConstraint,"
-                f" {{'row': {op(row)}, 'offset': {op(offset)}, 'sense': '>='}}),"
-                f" 'clf_row': {op(clf_row)}, 'clf_offset': {op(clf_offset)},"
+                f" 'clf_residual': {clf_residual}, 'phi': {op(outputs[5])}, 'guard_events': (),"
                 f" 'active_set': {active_set}}})"
             )
 
@@ -266,7 +253,6 @@ _STEP_NAMESPACE = {
     "nan": math.nan,
     "_frozen": _frozen,
     "ControlStepResult": ControlStepResult,
-    "AffineControlConstraint": AffineControlConstraint,
 }
 
 
@@ -282,9 +268,7 @@ def _trace_qp(spec, trace, outputs, decline, accept, header="while True:"):
     R = _inverse_cholesky_factor(spec._qp_quadratic)
     op = trace.operand
     norm = _traced_sum(trace, [a * a for a in row])
-    # Both rows normalized to <= sense: the safety row flips sign.
-    A = (clf_row, (*map(neg, row), 0.0))
-    b = (clf_offset, -offset)
+    A, b = _qp_rows(outputs)
     prelude = _prelude(trace, R, c, A, b)
     checked = [v for v in (offset, clf_offset, *row, *clf_row, *c)
                if v.__class__ is _Traced or not isfinite(v)]
@@ -293,9 +277,17 @@ def _trace_qp(spec, trace, outputs, decline, accept, header="while True:"):
     _enumerate(trace, R, A, b, prelude, accept, header, decline)
 
 
+def _qp_rows(outputs):
+    """The QP's constraint rows A over (u, slack) and offsets b from a step's
+    (safety row, its offset, stability row, its offset, c, phi): both rows
+    normalized to <= sense, so the safety row flips sign."""
+    row, offset, clf_row, clf_offset, _, _ = outputs
+    return (clf_row, (*map(neg, row), 0.0)), (clf_offset, -offset)
+
+
 def _residuals(outputs, z):
-    """The safety and stability residuals at an accepted QP solution z, in
-    _step_result's order."""
+    """The safety and stability residuals at an accepted QP solution z of a
+    step's (safety row, its offset, stability row, its offset, c, phi)."""
     row, offset, clf_row, clf_offset, _, _ = outputs
     p = len(row)
     return _grad_dot(row, z, p) - offset, clf_offset - (_grad_dot(clf_row, z, p) - z[p])
@@ -332,7 +324,7 @@ def _generic_control_step(spec: ControllerSpec, x, t: float) -> ControlStepResul
     p = system.p
 
     ev, cbf, guard_events = evaluate_with_clamping(spec.chain, xs)
-    clf_row_con = clf_constraint(spec.clf, system, xs)
+    clf = clf_constraint(spec.clf, system, xs)
 
     # Decision vector z = (u, slack).
     c_vec = (*spec.objective_f(xs), 0.0)
@@ -341,36 +333,23 @@ def _generic_control_step(spec: ControllerSpec, x, t: float) -> ControlStepResul
             f"objective F(x) returned {len(c_vec) - 1} entries, expected {p}"
         )
 
-    # Both rows normalized to <= sense: the safety row flips sign.
-    a_rows = (clf_row_con.row, (*map(neg, cbf.row), 0.0))
-    b_vec = (clf_row_con.offset, -cbf.offset)
-    solution = solve_qp(QpProblem(Q=spec._qp_quadratic, c=c_vec, A=a_rows, b=b_vec))
+    outputs = (cbf.row, cbf.offset, clf.row, clf.offset, c_vec, ev.phi)
+    A, b = _qp_rows(outputs)
+    solution = solve_qp(QpProblem(Q=spec._qp_quadratic, c=c_vec, A=A, b=b))
 
-    return _step_result(solution, cbf, clf_row_con.row, clf_row_con.offset, ev.phi, guard_events)
-
-
-def _step_result(solution, cbf, clf_row, clf_offset, phi, guard_events):
-    """The step's result from its QP solution; a non-optimal status comes
-    with no control and NaN slack and residuals."""
+    # A non-optimal status comes with no control and NaN slack and residuals.
     if solution.status != "optimal":
         u, slack, cbf_residual, clf_residual = (), math.nan, math.nan, math.nan
     else:
-        p = len(clf_row) - 1
-        u = solution.z[:p]
-        slack = solution.z[p]
-        cbf_residual = _grad_dot(cbf.row, u, p) - cbf.offset
-        clf_value = _grad_dot(clf_row, u, p) - slack
-        clf_residual = clf_offset - clf_value
+        u, slack = solution.z[:p], solution.z[p]
+        cbf_residual, clf_residual = _residuals(outputs, solution.z)
     return ControlStepResult(
         u=u,
         slack=slack,
         qp_status=solution.status,
         cbf_residual=cbf_residual,
         clf_residual=clf_residual,
-        phi=phi,
+        phi=ev.phi,
         guard_events=guard_events,
-        cbf_constraint=cbf,
-        clf_row=clf_row,
-        clf_offset=clf_offset,
         active_set=solution.active_set,
     )

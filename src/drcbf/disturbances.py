@@ -259,10 +259,9 @@ def _horizon_limit(realization: SignalRealization) -> float:
 
 
 def _compile_lookup(realization: SignalRealization):
-    """evaluate for realization as one generated straight-line function of t:
-    the horizon check with its message, then the channels of
-    _lookup_channels, as the trace's simplification leaves them (see
-    drcbf._trace._Trace).
+    """evaluate for realization as one generated straight-line function of t
+    (see drcbf._trace._Trace.function): the horizon check with its message,
+    then the channels of _lookup_channels.
     """
     namespace = {
         "DisturbanceError": DisturbanceError,
@@ -270,23 +269,10 @@ def _compile_lookup(realization: SignalRealization):
         "OUTSIDE": f" is outside the realized horizon [0, {realization.horizon}]",
     }
     trace = _Trace()
+    trace.line(f"tt = float({trace.operand(trace.input(0.0))})")
+    trace.line("if tt < 0.0 or tt > LIMIT: raise DisturbanceError(f'time {tt}' + OUTSIDE)")
     channels = _lookup_channels(realization, trace, trace.local("tt", 0.0), namespace)
-    result = f"return {trace.operand(tuple(channels))}"
-    trace.simplify([result])
-    source = "\n    ".join([
-        "def lookup(t):",
-        "tt = float(t)",
-        "if tt < 0.0 or tt > LIMIT:",
-        "    raise DisturbanceError(f'time {tt}' + OUTSIDE)",
-        *trace.render(),
-        result,
-    ])
-    source = trace.resolve(source)
-    namespace.update(trace.constants)
-    exec(source, namespace)
-    # Popped, so that the function and its globals form no reference cycle:
-    # the draws go with the realization, not at the next garbage collection.
-    return namespace.pop("lookup")
+    return trace.function([f"return {trace.operand(tuple(channels))}"], namespace)
 
 
 def evaluate(realization: SignalRealization, t: float) -> tuple:

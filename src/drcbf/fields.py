@@ -248,14 +248,13 @@ class SmoothScalarField:
 
     """
 
-    __slots__ = ("_evaluator", "n", "provenance")
+    __slots__ = ("_evaluator", "n")
 
-    def __init__(self, evaluator: Callable, n: int, provenance: str = "user-supplied"):
+    def __init__(self, evaluator: Callable, n: int):
         if n < 1:
             raise FieldError("state dimension must be positive")
         self._evaluator = evaluator
         self.n = n
-        self.provenance = provenance
 
     # Raw jet evaluation; xs entries may be floats or Duals.
     def _jet(self, xs):
@@ -280,12 +279,10 @@ class SmoothScalarField:
         if isinstance(other, SmoothScalarField):
             self._require_same_n(other)
             a, b = self._evaluator, other._evaluator
-            return SmoothScalarField(
-                lambda xs: a(xs) + b(xs), self.n, "algebraic-composite"
-            )
+            return SmoothScalarField(lambda xs: a(xs) + b(xs), self.n)
         c = float(other)
         a = self._evaluator
-        return SmoothScalarField(lambda xs: a(xs) + c, self.n, "algebraic-composite")
+        return SmoothScalarField(lambda xs: a(xs) + c, self.n)
 
     __radd__ = __add__
 
@@ -293,32 +290,28 @@ class SmoothScalarField:
         if isinstance(other, SmoothScalarField):
             self._require_same_n(other)
             a, b = self._evaluator, other._evaluator
-            return SmoothScalarField(
-                lambda xs: a(xs) - b(xs), self.n, "algebraic-composite"
-            )
+            return SmoothScalarField(lambda xs: a(xs) - b(xs), self.n)
         c = float(other)
         a = self._evaluator
-        return SmoothScalarField(lambda xs: a(xs) - c, self.n, "algebraic-composite")
+        return SmoothScalarField(lambda xs: a(xs) - c, self.n)
 
     def __rsub__(self, other):
         c = float(other)
         a = self._evaluator
-        return SmoothScalarField(lambda xs: c - a(xs), self.n, "algebraic-composite")
+        return SmoothScalarField(lambda xs: c - a(xs), self.n)
 
     def __neg__(self):
         a = self._evaluator
-        return SmoothScalarField(lambda xs: -a(xs), self.n, "algebraic-composite")
+        return SmoothScalarField(lambda xs: -a(xs), self.n)
 
     def __mul__(self, other):
         if isinstance(other, SmoothScalarField):
             self._require_same_n(other)
             a, b = self._evaluator, other._evaluator
-            return SmoothScalarField(
-                lambda xs: a(xs) * b(xs), self.n, "algebraic-composite"
-            )
+            return SmoothScalarField(lambda xs: a(xs) * b(xs), self.n)
         c = float(other)
         a = self._evaluator
-        return SmoothScalarField(lambda xs: a(xs) * c, self.n, "algebraic-composite")
+        return SmoothScalarField(lambda xs: a(xs) * c, self.n)
 
     __rmul__ = __mul__
 
@@ -327,20 +320,20 @@ class SmoothScalarField:
             raise DimensionMismatchError("field operand", self.n, other.n)
 
 
-def field_from_callable(fn: Callable, n: int, provenance: str = "user-supplied") -> SmoothScalarField:
+def field_from_callable(fn: Callable, n: int) -> SmoothScalarField:
     """Wrap a Dual-closed callable of the state-entry tuple as a field."""
-    return SmoothScalarField(fn, n, provenance)
+    return SmoothScalarField(fn, n)
 
 
 def constant_field(value: float, n: int) -> SmoothScalarField:
     c = float(value)
-    return SmoothScalarField(lambda xs: c, n, "user-supplied")
+    return SmoothScalarField(lambda xs: c, n)
 
 
 def coordinate_field(index: int, n: int) -> SmoothScalarField:
     if not 0 <= index < n:
         raise DimensionMismatchError("coordinate index", n, index)
-    return SmoothScalarField(lambda xs: xs[index], n, "user-supplied")
+    return SmoothScalarField(lambda xs: xs[index], n)
 
 
 @dataclass(frozen=True)
@@ -420,7 +413,7 @@ def lie_derivative_field(field: SmoothScalarField, vector_map: Callable) -> Smoo
         vec = vector_map(xs)
         return _grad_dot(grad, vec, n)
 
-    return SmoothScalarField(evaluator, n, "derived-by-differentiation")
+    return SmoothScalarField(evaluator, n)
 
 
 def reciprocal_field(
@@ -443,7 +436,7 @@ def reciprocal_field(
     def evaluator(xs):
         return _guarded_reciprocal(inner(xs), guard, positive_domain)
 
-    return SmoothScalarField(evaluator, field.n, "algebraic-composite")
+    return SmoothScalarField(evaluator, field.n)
 
 
 def _require_field_matches_system(field: SmoothScalarField, system: ControlAffineSystem):

@@ -252,7 +252,7 @@ def _young_drift_field(
         _, grad = jet(xs)
         return _grad_dot(grad, f(xs), n) - _grad_row_squared_norm(grad, h(xs), n, q) * quarter
 
-    return SmoothScalarField(evaluator, n, "derived-by-differentiation")
+    return SmoothScalarField(evaluator, n)
 
 
 def build_drcbf_chain(

@@ -29,11 +29,11 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import isfinite, nan, sqrt
-from operator import neg
 from typing import Optional
 
 from .controller import (
     ControllerSpec,
+    _qp_rows,
     _residuals,
     _trace_assembly,
     _trace_qp,
@@ -109,12 +109,6 @@ class SimulationConfig:
             raise SimulationError("control period must be strictly positive")
         if self.integrator_substeps < 1:
             raise SimulationError("integrator substeps must be at least 1")
-        if abs(self.control_period - self.controller.control_period) > _GRID_TOL * max(
-            self.control_period, self.controller.control_period
-        ):
-            raise SimulationError(
-                "simulation control period does not match the controller's"
-            )
         ratio = self.horizon / self.control_period
         steps = round(ratio)
         if steps < 1 or abs(ratio - steps) > _GRID_TOL * max(1.0, ratio):
@@ -466,9 +460,9 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
         _trace_qp(spec, trace, outputs, "return k, x", accept, "while active is None:")
         first = trace.mark()
         # The first step's control, at which RK4 is traced.
-        row, offset, clf_row, clf_offset, c, _ = _values(outputs)
-        solution = solve_qp(QpProblem(Q=spec._qp_quadratic, c=c,
-                                      A=(clf_row, (*map(neg, row), 0.0)), b=(clf_offset, -offset)))
+        values = _values(outputs)
+        A, b = _qp_rows(values)
+        solution = solve_qp(QpProblem(Q=spec._qp_quadratic, c=values[4], A=A, b=b))
         if solution.status != "optimal":
             return None
         z = tuple(trace.local(f"z{j}", v) for j, v in enumerate(solution.z))

@@ -718,11 +718,13 @@ def canonical(node):
 def generated_sources(config):
     """The source of each function the library generates for config, by
     kind: "loop" (run_simulation's loop), "step" (the spec's control step),
-    "rk4" (the system's RK4 step) and "kernel" (solve_qp's kernel of the
+    "rk4" (the system's RK4 step), "lookup" (the realization's disturbance
+    lookup, with a disturbance) and "kernel" (solve_qp's kernel of the
     step's QP shape).
 
-    Runs one control period of config, then one control step and one RK4
-    step at x0 with the spec's and the system's compiled functions reset,
+    Runs one control period of config, then one control step, one lookup
+    and one RK4 step at x0 with the spec's, the realization's and the
+    system's compiled functions reset,
     and builds the kernel afresh, with exec shadowed in the modules that
     call it, so that each source is recorded as it is compiled.
     """
@@ -735,7 +737,8 @@ def generated_sources(config):
     def recording(source, namespace):
         kind = ("loop" if source.startswith("def loop(") else
                 "kernel" if "QpSolution" in source else
-                "step" if "ControlStepResult" in source else "rk4")
+                "step" if "ControlStepResult" in source else
+                "lookup" if "DisturbanceError" in source else "rk4")
         sources[kind] = source
         exec(source, namespace)
 
@@ -747,6 +750,8 @@ def generated_sources(config):
         run_simulation(replace(config, horizon=config.control_period))
         object.__setattr__(spec, "_step", None)
         object.__setattr__(system, "_rk4", None)
+        if config.disturbance is not None:
+            object.__setattr__(config.disturbance, "_lookup", None)
         u = control_step(spec, config.x0, 0.0).u
         d = (0.0,) * system.q if config.disturbance is None else evaluate_signal(config.disturbance, 0.0)
         integrate_step(system, config.x0, u, d, config.control_period / config.integrator_substeps)

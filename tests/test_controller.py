@@ -24,7 +24,6 @@ from drcbf.fields import ControlAffineSystem, as_state, clamped_guards, field_fr
 from drcbf.poles import coefficients_from_poles
 from drcbf.qp import QpProblem, solve_qp
 from drcbf.robust import (
-    AffineControlConstraint,
     BarrierConstructionError,
     DegenerateConstraintError,
     build_drcbf_chain,
@@ -119,16 +118,11 @@ class TestControllerSpecValidation:
                 clf=clf,
                 objective_h=((1.0, 0.2), (0.0, 1.0)),
                 objective_f=(0.0, 0.0),
-                control_period=1e-3,
             )
 
     def test_rejects_unknown_mode(self):
         with pytest.raises((ValueError, ControllerError)):
             build_acc_controller(PARAMS, "bang-bang")
-
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises((ValueError, ControllerError)):
-            drcbf_spec(control_period=0.0)
 
     def test_constant_objective_row_is_accepted(self):
         clf = speed_tracking_clf(PARAMS)
@@ -469,16 +463,13 @@ class TestCompiledStep:
         assert result.active_set == solutions[-1].active_set == active_set
         assert hash(result) == hash(_generic_control_step(spec, x, 0.0))
         assert type(result) is ControlStepResult
-        assert type(result.cbf_constraint) is AffineControlConstraint
         with pytest.raises(FrozenInstanceError):
             result.u = ()
-        with pytest.raises(FrozenInstanceError):
-            result.cbf_constraint.offset = 0.0
 
-    def test_a_compiled_step_builds_two_objects_and_runs_no_init(self):
-        # The result and its safety constraint are the only objects a step
-        # makes, neither through its dataclass __init__, and no QpSolution:
-        # the profile sees no Python call but the step and the two builds.
+    def test_a_compiled_step_builds_one_object_and_runs_no_init(self):
+        # The result is the only object a step makes, not through its
+        # dataclass __init__, and no QpSolution: the profile sees no Python
+        # call but the step and the one build.
         spec = drcbf_spec()
         x = (10.7, 35.0)
         assert control_step(spec, x, 0.0).active_set == (1,)
@@ -496,10 +487,9 @@ class TestCompiledStep:
             result = spec._step(xs)
         finally:
             sys.setprofile(None)
-        assert python_calls == ["traced", "_frozen", "_frozen"]
-        assert c_calls.count("object.__new__") == 2
+        assert python_calls == ["traced", "_frozen"]
+        assert c_calls.count("object.__new__") == 1
         assert type(result) is ControlStepResult
-        assert type(result.cbf_constraint) is AffineControlConstraint
         assert result == _generic_control_step(spec, x, 0.0)
 
 

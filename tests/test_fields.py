@@ -349,7 +349,9 @@ def _run(program, inputs):
 # of steps with one comparison among them that leaves the block. A block
 # reads the inputs and the prefix's values and its own, and returns its
 # index and its last two values; with every block left, the program
-# returns (-1, ()).
+# returns (-1, ()). A block may end in 0.0 + x * 0.0, for an earlier value
+# x, which its comparison then holds against 1.0 or -1.0: the fold to 0.0,
+# exact only where x is finite, steers the comparison.
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
             "==": operator.eq, "!=": operator.ne}
 _STEPS = st.lists(st.tuples(st.sampled_from(sorted(_OPERATIONS)), _OPERAND, _OPERAND),
@@ -359,7 +361,9 @@ _BLOCKED = st.tuples(
     _STEPS,
     st.lists(st.booleans(), min_size=1, max_size=3),
     st.lists(st.tuples(_STEPS, st.integers(0, 40), st.sampled_from(sorted(_COMPARE)),
-                       st.integers(0, 40), st.integers(0, 6)), min_size=2, max_size=4),
+                       st.integers(0, 40), st.integers(0, 6),
+                       st.one_of(st.none(), st.tuples(st.integers(0, 40), st.sampled_from((1.0, -1.0))))),
+             min_size=2, max_size=4),
 )
 
 
@@ -368,6 +372,16 @@ def _steps(steps, values):
         a, b = (values[o % len(values)] if o.__class__ is int else o for o in operands)
         values.append(_OPERATIONS[kind](a, b))
     return values
+
+
+def _block_steps(block):
+    """A block's steps, its comparison's operands (indices, or a constant on
+    the right) and the step before which the comparison runs."""
+    steps, i, _, j, at, zero = block
+    if zero is None:
+        return steps, i, j, at % (len(steps) + 1)
+    x, c = zero
+    return [*steps, ("*", x, 0.0), ("+", 0.0, -1)], -1, c, len(steps) + 2
 
 
 def _run_blocked(program, inputs, trace=None):
@@ -381,13 +395,14 @@ def _run_blocked(program, inputs, trace=None):
         trace.line(f"if not ({trace.check(checked)}): return None")
     elif not all(map(math.isfinite, checked)):
         return None
-    for index, (steps, i, symbol, j, at) in enumerate(blocks):
+    for index, block in enumerate(blocks):
+        steps, i, j, at = _block_steps(block)
         if trace is not None:
             trace.block("while True:", "return None")
         values, left = list(base), False
         for k in range(len(steps) + 1):
-            if k == at % (len(steps) + 1) and _COMPARE[symbol](values[i % len(values)],
-                                                               values[j % len(values)]):
+            right = values[j % len(values)] if j.__class__ is int else j
+            if k == at and _COMPARE[block[2]](values[i % len(values)], right):
                 left = True
                 break
             values = _steps(steps[k:k + 1], values)
@@ -441,7 +456,7 @@ class TestSimplification:
         _, prefix, _, blocks = program
         try:
             base = _steps(prefix, list(start))
-            everything = base + [v for steps, *_ in blocks for v in _steps(steps, list(base))]
+            everything = base + [v for block in blocks for v in _steps(_block_steps(block)[0], list(base))]
             trace = _Trace()
             _run_blocked(program, trace.inputs(start), trace)
         except ZeroDivisionError:
@@ -553,10 +568,11 @@ class TestGeneratedSources:
             recorded.append(trace.render())
             return traced
 
-        monkeypatch.setattr(_Trace, "function", spy)
         config = build_study(mode, case=1, horizon=0.01, verify=False)
+        d = evaluate_signal(config.disturbance, 0.0)
+        monkeypatch.setattr(_Trace, "function", spy)
         u = control_step(config.controller, config.x0, 0.0).u
-        integrate_step(config.system, config.x0, u, evaluate_signal(config.disturbance, 0.0), 1e-3)
+        integrate_step(config.system, config.x0, u, d, 1e-3)
         assert len(recorded) == 2
         for lines in recorded:
             # An operation is computed once within the code outside the QP's

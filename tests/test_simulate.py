@@ -155,7 +155,6 @@ def cubic_runaway_config(horizon=5.0, dt=0.1, cube=lambda v: v ** 3):
         clf=clf,
         objective_h=((2.0,),),
         objective_f=(0.0,),
-        control_period=dt,
     )
     return SimulationConfig(
         system=system,
@@ -182,6 +181,19 @@ class TestConfigValidation:
                 x0=good.x0,
                 horizon=-1.0,
                 control_period=1e-3,
+            )
+
+    @pytest.mark.parametrize("period", [0.0, -1e-3, math.nan])
+    def test_nonpositive_or_nan_control_period_rejected(self, period):
+        good = build_study("drcbf", case=2, horizon=1.0, verify=False)
+        with pytest.raises(SimulationError, match="control period must be strictly positive"):
+            SimulationConfig(
+                system=good.system,
+                controller=good.controller,
+                disturbance=None,
+                x0=good.x0,
+                horizon=1.0,
+                control_period=period,
             )
 
     def test_wrong_initial_state_length(self):

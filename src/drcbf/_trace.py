@@ -166,26 +166,11 @@ class _Trace:
 
     def inputs(self, values):
         """Traced floats holding values: the next argument of function(), a
-        sequence of exactly that many entries, each a float or a tuple of
-        such entries, which the argument's must match."""
-
-        def unpack(entries):
-            traced, target = [], ""
-            for v in entries:
-                if v.__class__ is tuple:
-                    inner, text = unpack(v)
-                    traced.append(inner)
-                    target += f"({text}), "
-                else:
-                    name = f"x{self.n_inputs}"
-                    self.n_inputs += 1
-                    traced.append(self._leaf(name, v))
-                    target += f"{name}, "
-            return tuple(traced), target
-
-        traced, target = unpack(values)
-        self.arguments.append((f"a{len(self.arguments)}", target))
-        return traced
+        sequence of exactly that many floats."""
+        names = [f"x{self.n_inputs + i}" for i in range(len(values))]
+        self.n_inputs += len(names)
+        self.arguments.append((f"a{len(self.arguments)}", "".join(f"{name}, " for name in names)))
+        return tuple(map(self._leaf, names, values))
 
     def local(self, name, value, non_negative=False):
         """A traced float holding value, read from the local name of the

@@ -12,10 +12,10 @@ control period.
 
 A spec's first step compiles the whole step into one generated function of
 the state (see _compile_step): the traced assembly of both rows and the
-cost, the output checks, the QP's active-set enumeration traced as
-drcbf.qp traces it for its own kernels, with this spec's factor of Q as
-literals, and the result. The step through the public layers stays as the
-exact fallback.
+cost, the output checks, the QP's active-set enumeration that solve_qp
+runs (see drcbf.qp), traced with this spec's factor of Q as literals, and
+the result. The step through the public layers stays as the exact
+fallback.
 """
 
 from __future__ import annotations

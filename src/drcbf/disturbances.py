@@ -166,8 +166,8 @@ class SignalRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", float(self.horizon))
-        if not self.horizon > 0.0:
-            raise DisturbanceError("horizon must be strictly positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise DisturbanceError("horizon must be finite and strictly positive")
         if len(self.draws) != len(self.spec.channels):
             raise DisturbanceError("draws do not mirror the spec's channels")
         for terms, drawn in zip(self.spec.channels, self.draws):
@@ -196,8 +196,8 @@ def realize(spec: SignalSpec, horizon: float) -> SignalRealization:
     under edits to unrelated terms.
     """
     h = float(horizon)
-    if not h > 0.0:
-        raise DisturbanceError("horizon must be strictly positive")
+    if not 0.0 < h < math.inf:
+        raise DisturbanceError("horizon must be finite and strictly positive")
     draws = []
     for ci, terms in enumerate(spec.channels):
         drawn = []
@@ -270,7 +270,7 @@ def _compile_lookup(realization: SignalRealization):
     }
     trace = _Trace()
     trace.line(f"tt = float({trace.operand(trace.input(0.0))})")
-    trace.line("if tt < 0.0 or tt > LIMIT: raise DisturbanceError(f'time {tt}' + OUTSIDE)")
+    trace.line("if not (0.0 <= tt <= LIMIT): raise DisturbanceError(f'time {tt}' + OUTSIDE)")
     channels = _lookup_channels(realization, trace, trace.local("tt", 0.0), namespace)
     return trace.function([f"return {trace.operand(tuple(channels))}"], namespace)
 

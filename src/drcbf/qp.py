@@ -15,24 +15,18 @@ minimizer, the multipliers of active set S solve the |S| x |S| system
 validated and factored once per distinct value, since a controller hands
 the solver the same quadratic at every step.
 
-The enumeration runs as generated code, one kernel per problem shape
-(number of rows, dimension), built on the first solve of that shape and
-cached, as CVXGEN does for its solvers (Mattingley and Boyd, Optim. Eng.
-13, 2012). A kernel holds every scalar in a local and spells out each
-active set's LDL' factor, multipliers and checks, with no loop over
-subsets or rows. It performs the same float operations in the same order
-as the generic loop it replaces (kept as reference_solve_qp in the test
-oracles), so its solutions are bit-identical to that loop's.
-
-The enumeration is written once, as arithmetic and comparisons on the
-floats of a trace (see drcbf._trace): _prelude forms the data it reads,
-and _enumerate records one block per active set, which a failed check
-leaves. Tracing it with every entry of the data an input gives the kernel.
-The compiled control step (drcbf.controller) and the simulator's loop
-(drcbf.simulate) trace it too, with the factor of Q as literals and the
-traced step's values as the data, so that the trace folds the products
-with the factor's zeros, and an accepted active set builds their result
-instead of a QpSolution.
+The enumeration is written once, as arithmetic and comparisons on floats
+that may be those of a trace (see drcbf._trace): _prelude forms the data it
+reads and _candidate tries one active set. solve_qp runs them on the
+problem's plain floats. The compiled control step (drcbf.controller) and
+the simulator's loop (drcbf.simulate) trace them instead (see _enumerate),
+one block per active set, which a failed check leaves, with the factor of
+Q as literals and the traced step's values as the data, so that the trace
+folds the products with the factor's zeros, and an accepted active set
+builds their result instead of a QpSolution. Either way the float
+operations are those of the generic loop kept as reference_solve_qp in the
+test oracles, in the same order, so the solutions are bit-identical to
+that loop's.
 """
 
 from __future__ import annotations
@@ -229,13 +223,17 @@ def _ldl_solve(factor, rhs):
     return x
 
 
-def _candidate(trace, R, A, b, prelude, g, subset):
+def _candidate(trace, R, A, b, prelude, subset):
     """(z, multipliers) of active set subset, or None where a check fails:
     the LDL' pivots with their rank check, the multipliers and their sign
     check (min's left-to-right scan), the screening of the other rows, the
     refinement step, z = -R'w and the feasibility check of every row on z.
     Each check is a comparison whose truth fails the set."""
-    y, v, _, gap, floor, limit = prelude
+    y, v, gram, gap, floor, limit = prelude
+
+    def g(i, j):
+        return gram[min(i, j), max(i, j)]
+
     lam, factor = [], None
     if subset:
         factor = _ldl(g, floor, subset)
@@ -280,58 +278,26 @@ def _candidate(trace, R, A, b, prelude, g, subset):
     return z, lam
 
 
+def _active_sets(n_con, dim):
+    """Every active set the enumeration tries, in its fixed order: by size,
+    up to the smaller of n_con and dim, then in combinations order."""
+    for size in range(min(n_con, dim) + 1):
+        yield from combinations(range(n_con), size)
+
+
 def _enumerate(trace, R, A, b, prelude, accept, header="while True:", decline=None):
-    """Record the generic active-set enumeration on trace, after its prelude
-    (see _prelude): for every active set in combinations order, one block
-    under header (see _Trace.block) holding _candidate's float operations,
-    whose checks leave it. A set that passes them all runs the lines
+    """Record the active-set enumeration on trace, after its prelude (see
+    _prelude): for every active set in its fixed order, one block under
+    header (see _Trace.block) holding _candidate's float operations, whose
+    checks leave it. A set that passes them all runs the lines
     accept(z, subset, multipliers) returns, given its traced z and
     multipliers (the operations accept records belong to the block). The
     tolerances are literals.
     """
-    gram = prelude[2]
-
-    def g(i, j):
-        return gram[min(i, j), max(i, j)]
-
-    rows = range(len(b))
-    for size in range(min(len(R), len(b)) + 1):
-        for subset in combinations(rows, size):
-            trace.block(header, decline)
-            found = _candidate(trace, R, A, b, prelude, g, subset)
-            trace.end_block(None if found is None else accept(found[0], subset, found[1]))
-
-
-@lru_cache(maxsize=32)
-def _kernel(n_con, dim):
-    """solve_qp for problems of one shape, as one generated function
-    kernel(R, Q, c, A, b) of the data: the enumeration traced with every
-    entry of R, Q, c, A and b an input. An accepted active set returns its
-    solution, with the objective in QpProblem.objective's order.
-    """
-    trace = _Trace()
-    R = trace.inputs(tuple((0.0,) * (i + 1) for i in range(dim)))
-    Q = trace.inputs(((0.0,) * dim,) * dim)
-    c = trace.inputs((0.0,) * dim)
-    A = trace.inputs(((0.0,) * dim,) * n_con)
-    b = trace.inputs((0.0,) * n_con)
-    op = trace.operand
-
-    def accept(z, subset, lam):
-        quad = 0.0
-        for i, row in enumerate(Q):
-            for j, qij in enumerate(row):
-                quad = quad + z[i] * qij * z[j]
-        multipliers = [0.0] * n_con
-        for s, l in zip(subset, lam):
-            multipliers[s] = l
-        objective = 0.5 * quad + _dot(trace, c, z)
-        return [f"return QpSolution({op(tuple(z))}, {subset!r}, {op(objective)}, 'optimal',"
-                f" {op(tuple(multipliers))})"]
-
-    _enumerate(trace, R, A, b, _prelude(trace, R, c, A, b), accept)
-    return trace.function(["return QpSolution((), (), inf, 'infeasible', ())"],
-                          {"QpSolution": QpSolution, "inf": math.inf})
+    for subset in _active_sets(len(b), len(R)):
+        trace.block(header, decline)
+        found = _candidate(trace, R, A, b, prelude, subset)
+        trace.end_block(None if found is None else accept(found[0], subset, found[1]))
 
 
 def solve_qp(problem: QpProblem) -> QpSolution:
@@ -346,5 +312,16 @@ def solve_qp(problem: QpProblem) -> QpSolution:
     "infeasible" when no candidate survives.
     """
     R = _inverse_cholesky_factor(problem.Q)
-    b = problem.b
-    return _kernel(len(b), len(problem.c))(R, problem.Q, problem.c, problem.A, b)
+    A, b = problem.A, problem.b
+    # With no traced operand, the trace's calls just apply their functions.
+    trace = _Trace()
+    prelude = _prelude(trace, R, problem.c, A, b)
+    for subset in _active_sets(len(b), len(R)):
+        found = _candidate(trace, R, A, b, prelude, subset)
+        if found is not None:
+            z, lam = found
+            multipliers = [0.0] * len(b)
+            for s, l in zip(subset, lam):
+                multipliers[s] = l
+            return QpSolution(tuple(z), subset, problem.objective(z), "optimal", tuple(multipliers))
+    return QpSolution((), (), math.inf, "infeasible", ())

@@ -28,7 +28,8 @@ import contextvars
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import isfinite, nan, sqrt
+from math import inf, isfinite, nan, sqrt
+from numbers import Integral
 from typing import Optional
 
 from .controller import (
@@ -103,12 +104,12 @@ class SimulationConfig:
         object.__setattr__(self, "x0", as_state(self.x0, self.system.n, "initial state"))
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "control_period", float(self.control_period))
-        if not self.horizon > 0.0:
-            raise SimulationError("horizon must be strictly positive")
+        if not 0.0 < self.horizon < inf:
+            raise SimulationError("horizon must be finite and strictly positive")
         if not self.control_period > 0.0:
             raise SimulationError("control period must be strictly positive")
-        if self.integrator_substeps < 1:
-            raise SimulationError("integrator substeps must be at least 1")
+        if not isinstance(self.integrator_substeps, Integral) or self.integrator_substeps < 1:
+            raise SimulationError("integrator substeps must be an integer of at least 1")
         ratio = self.horizon / self.control_period
         steps = round(ratio)
         if steps < 1 or abs(ratio - steps) > _GRID_TOL * max(1.0, ratio):

@@ -13,11 +13,12 @@ reference_run: the QP solver's enumeration, the disturbance lookup and the
 closed loop in their generic forms (loops over every active set with an LDL'
 helper per subset; loops over channels and terms with a dispatch on each
 term's type; a loop over control steps calling the library's lookup, control
-step and RK4 step once each). The library generates one straight-line kernel
-per problem shape, one lookup per realization and one loop per run, and each
-must return exactly what its loop returns, bit for bit. reference_run calls
-the names control_step, integrate_step and evaluate_signal of this module, so
-that a test can patch them.
+step and RK4 step once each). The library runs its enumeration on plain
+floats in solve_qp and traces it into the compiled step and loop, and
+generates one lookup per realization and one loop per run; each must return
+exactly what its generic form returns, bit for bit. reference_run calls the names
+control_step, integrate_step and evaluate_signal of this module, so that a
+test can patch them.
 """
 
 from __future__ import annotations
@@ -518,7 +519,7 @@ def reference_evaluate(realization, t):
     """The disturbance signal vector at t, summed term by term: per channel
     0.0 plus each term's value in turn, after the same horizon check."""
     tt = float(t)
-    if tt < 0.0 or tt > realization.horizon * (1.0 + _BOUNDARY_NUDGE):
+    if not (0.0 <= tt <= realization.horizon * (1.0 + _BOUNDARY_NUDGE)):
         raise DisturbanceError(
             f"time {tt} is outside the realized horizon [0, {realization.horizon}]"
         )
@@ -718,32 +719,29 @@ def canonical(node):
 def generated_sources(config):
     """The source of each function the library generates for config, by
     kind: "loop" (run_simulation's loop), "step" (the spec's control step),
-    "rk4" (the system's RK4 step), "lookup" (the realization's disturbance
-    lookup, with a disturbance) and "kernel" (solve_qp's kernel of the
-    step's QP shape).
+    "rk4" (the system's RK4 step) and "lookup" (the realization's
+    disturbance lookup, with a disturbance).
 
     Runs one control period of config, then one control step, one lookup
     and one RK4 step at x0 with the spec's, the realization's and the
-    system's compiled functions reset,
-    and builds the kernel afresh, with exec shadowed in the modules that
+    system's compiled functions reset, with exec shadowed in the modules that
     call it, so that each source is recorded as it is compiled.
     """
     from dataclasses import replace
 
-    from drcbf import _trace, qp, simulate
+    from drcbf import _trace, simulate
 
     sources = {}
 
     def recording(source, namespace):
         kind = ("loop" if source.startswith("def loop(") else
-                "kernel" if "QpSolution" in source else
                 "step" if "ControlStepResult" in source else
                 "lookup" if "DisturbanceError" in source else "rk4")
         sources[kind] = source
         exec(source, namespace)
 
     spec, system = config.controller, config.system
-    modules = (_trace, qp, simulate)
+    modules = (_trace, simulate)
     for module in modules:
         module.exec = recording
     try:
@@ -755,7 +753,6 @@ def generated_sources(config):
         u = control_step(spec, config.x0, 0.0).u
         d = (0.0,) * system.q if config.disturbance is None else evaluate_signal(config.disturbance, 0.0)
         integrate_step(system, config.x0, u, d, config.control_period / config.integrator_substeps)
-        qp._kernel.__wrapped__(2, system.p + 1)
     finally:
         for module in modules:
             del module.exec

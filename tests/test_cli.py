@@ -366,6 +366,15 @@ class TestCommandLine:
         assert main(["run", str(cfg)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", [None, 1])
+    def test_infinite_horizon_exits_one(self, tmp_path, capsys, case):
+        # With a case the disturbance's realization rejects the horizon,
+        # without one the run's configuration does.
+        doc = quiet_doc(horizon=math.inf) if case is None else quiet_doc(horizon=math.inf, case=case)
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "horizon must be finite" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
 
@@ -453,6 +462,16 @@ class TestCommandLine:
         assert [line.split('"')[2].split(",")[1] for line in table[1:]] == ["0", "1", "0"]
         assert (out / "00_parameters_initial_state__100.0__20.0_" / "trajectory.csv").exists()
         assert (out / "02_parameters_initial_state__80.0__20.0_" / "trajectory.csv").exists()
+
+    def test_an_infinite_horizon_ends_only_its_own_member(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quiet_doc(case=1))
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(cfg), "--param", "horizon", "--values", "0.2,Infinity",
+                     "--out", str(out), "--jobs", "1"])
+        assert code == 1
+        assert "horizon must be finite" in capsys.readouterr().err
+        table = (out / "sweep_summary.csv").read_text().strip().splitlines()
+        assert [line.split(",")[1:3] for line in table[1:]] == [["0.2", "0"], ["Infinity", "1"]]
 
     def test_sweep_rejects_unknown_parameter_paths(self, tmp_path):
         cfg = write_config(tmp_path, quiet_doc())

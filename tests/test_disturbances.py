@@ -134,6 +134,14 @@ class TestRealizeAndReplay:
         with pytest.raises((ValueError, DisturbanceError)):
             realize(case_disturbance_spec(1), 0.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_horizon_must_be_finite(self, horizon):
+        spec = case_disturbance_spec(1)
+        with pytest.raises(DisturbanceError, match="horizon must be finite"):
+            realize(spec, horizon)
+        with pytest.raises(DisturbanceError, match="horizon must be finite"):
+            SignalRealization(spec=spec, horizon=horizon, draws=realize(spec, 1.0).draws)
+
 
 class TestEvaluate:
     def test_pure_sinusoid_values(self):
@@ -320,6 +328,16 @@ class TestCompiledLookup:
     )
     def test_nan_time_matches_the_generic_sum(self, spec):
         same_as_reference(realize(spec, 1.0), math.nan)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [case_disturbance_spec(1), SignalSpec(channels=((Sinusoid(1.0, 2.0), Constant(0.5)),))],
+        ids=["noise", "sinusoids"],
+    )
+    def test_nan_time_is_outside_the_horizon(self, spec):
+        realization = realize(spec, 1.0)
+        with pytest.raises(DisturbanceError, match="time nan is outside the realized horizon"):
+            evaluate(realization, math.nan)
 
     @pytest.mark.parametrize(
         "t", [-1e-300, -0.5, 3.0 * (1.0 + 2e-9), 4.0, math.inf, -math.inf]

@@ -452,20 +452,31 @@ class TestSimplification:
                               min_size=1, max_size=12))
     def test_blocks_take_the_same_block_with_the_same_bits_or_decline(self, program, cases):
         n_inputs = program[0]
-        start = (1.5, -2.5, 3.0)[:n_inputs]
         _, prefix, _, blocks = program
+        drawn = [tuple(case[:n_inputs]) for case in cases]
+        # Traced at the first of the start inputs and the drawn ones at which
+        # the prefix divides by no zero: a division in a block is recorded
+        # with a NaN result, one outside it raises.
+        for start in [(1.5, -2.5, 3.0)[:n_inputs], *drawn]:
+            try:
+                trace = _Trace()
+                _run_blocked(program, trace.inputs(start), trace)
+                break
+            except ZeroDivisionError:
+                pass
+        else:
+            return
+        function = trace.function(["return (-1, ())"], declines=True)
+        # Where every value of the prefix and the blocks' steps is finite, no
+        # check can fail.
         try:
             base = _steps(prefix, list(start))
             everything = base + [v for block in blocks for v in _steps(_block_steps(block)[0], list(base))]
-            trace = _Trace()
-            _run_blocked(program, trace.inputs(start), trace)
         except ZeroDivisionError:
-            return
-        function = trace.function(["return (-1, ())"], declines=True)
-        if all(map(math.isfinite, everything)):
+            everything = None
+        if everything is not None and all(map(math.isfinite, everything)):
             assert function(start) is not None
-        for case in cases:
-            inputs = tuple(case[:n_inputs])
+        for inputs in drawn:
             got = function(inputs)
             if got is None:
                 continue

@@ -159,8 +159,21 @@ CONTROLLER_Q = ((4.0 / 1650.0**2, 0.0), (0.0, 4.0))
 
 
 class TestGeneratedKernel:
-    """solve_qp runs one generated kernel per (rows, dim) shape; each must
-    return exactly what the generic enumeration returns."""
+    """solve_qp runs the enumeration on the problem's plain floats, with no
+    generated kernel (the name is kept so that the test ids stay stable);
+    for problems of every (rows, dim) shape it must return exactly what the
+    reference loop returns."""
+
+    def test_a_new_shape_compiles_no_code(self, monkeypatch):
+        from drcbf import _trace, qp
+
+        def refused(*args):
+            raise AssertionError("solve_qp compiled code")
+
+        for module in (_trace, qp):
+            monkeypatch.setattr(module, "exec", refused, raising=False)
+        problem = QpProblem(Q=np.eye(5), c=np.ones(5), A=-np.eye(5), b=-np.ones(5))
+        assert assert_same_as_reference(problem).active_set == (0, 1, 2, 3, 4)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n_con", [0, 1, 2, 3, 4])

@@ -196,6 +196,33 @@ class TestConfigValidation:
                 control_period=period,
             )
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        good = build_study("drcbf", case=2, horizon=1.0, verify=False)
+        with pytest.raises(SimulationError, match="horizon must be finite and strictly positive"):
+            SimulationConfig(
+                system=good.system,
+                controller=good.controller,
+                disturbance=None,
+                x0=good.x0,
+                horizon=horizon,
+                control_period=1e-3,
+            )
+
+    @pytest.mark.parametrize("substeps", [2.0, 1.5, 0, "2"])
+    def test_substeps_must_be_an_integer_of_at_least_one(self, substeps):
+        good = build_study("drcbf", case=2, horizon=1.0, verify=False)
+        with pytest.raises(SimulationError, match="integrator substeps must be an integer"):
+            SimulationConfig(
+                system=good.system,
+                controller=good.controller,
+                disturbance=None,
+                x0=good.x0,
+                horizon=1.0,
+                control_period=1e-3,
+                integrator_substeps=substeps,
+            )
+
     def test_wrong_initial_state_length(self):
         good = build_study("drcbf", case=2, horizon=1.0, verify=False)
         with pytest.raises(Exception):

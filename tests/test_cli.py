@@ -370,7 +370,9 @@ class TestCommandLine:
     def test_infinite_horizon_exits_one(self, tmp_path, capsys, case):
         # With a case the disturbance's realization rejects the horizon,
         # without one the run's configuration does.
-        doc = quiet_doc(horizon=math.inf) if case is None else quiet_doc(horizon=math.inf, case=case)
+        doc = quiet_doc(horizon=math.inf)
+        if case is not None:
+            doc["case"] = case
         cfg = write_config(tmp_path, doc)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "horizon must be finite" in capsys.readouterr().err

@@ -76,8 +76,6 @@ from .acc import (
     case_bound,
     case_config,
     case_disturbance_spec,
-    closed_form_adaptive_terms,
-    closed_form_robust_terms,
     distance_barrier,
     drag_force,
     pole_table,

@@ -12,7 +12,9 @@ import functools
 import math
 import re
 import sys
+from array import array
 from bisect import bisect_left
+from collections import OrderedDict
 from fractions import Fraction
 from math import copysign
 from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub, truediv
@@ -35,6 +37,11 @@ _RESULT_NAME = re.compile(r"\bt\d+\b|\b_finite\d+\b")
 _NO_NAMES = frozenset()
 # The deepest nesting of operations written into one another.
 _INLINE_DEPTH = 40
+# The compiled code of the last traces, by their keys (see _Trace.generate),
+# at most _MEMO_SIZE of them, a new entry evicting the oldest; a run's loop
+# keeps about 140 KB.
+_MEMO_SIZE = 32
+_memo = OrderedDict()
 
 
 def _negative_zero(c):
@@ -54,7 +61,9 @@ class _Trace:
     writes its own lines, which read the results by operand() and make their
     finiteness checks by check(), after the recorded operations or between
     them by line(), and simplify() rewrites the recorded operations before
-    render() and resolve() give the source; function() does all three.
+    render() and resolve() give the source; generate() does all three and
+    compiles it, once for each distinct trace, and function() goes through
+    it.
 
     Between block() and end_block(), the operations form a block: a run of
     straight-line code under a loop header that a recorded comparison leaves
@@ -115,7 +124,7 @@ class _Trace:
         # with one {} per operand, operands): kind is an operator symbol,
         # "neg", "abs", "call" or "guard", a comparison symbol for a block's
         # comparison, or "block", "line" and "end", whose templates are a
-        # block's header and lists of a caller's lines, those of a block's
+        # block's header and tuples of a caller's lines, those of a block's
         # end included; an operand is a name or a constant.
         self.ops = []
         # Non-finite constants, which have no literal, by the global names
@@ -243,7 +252,7 @@ class _Trace:
 
     def line(self, text):
         """Record text, a caller's line, to run at this point."""
-        self.ops.append((len(self.ops), None, "line", [text], ()))
+        self.ops.append((len(self.ops), None, "line", (text,), ()))
 
     def block(self, header, decline=None):
         """Open a block (see above) under the line header, e.g. "while
@@ -269,7 +278,7 @@ class _Trace:
             if lines is None:
                 self.ops.append((len(self.ops), None, "break", "break", ()))
             self._block_check()
-            self.ops.append((len(self.ops), None, "end", list(lines or ()), ()))
+            self.ops.append((len(self.ops), None, "end", tuple(lines or ()), ()))
         self.open = None
 
     def _block_check(self):
@@ -607,7 +616,7 @@ class _Trace:
 
     def function(self, tail, namespace=(), declines=False):
         """Compile the recorded operations, then the lines tail, into one
-        function.
+        function (see generate()).
 
         Its arguments are those of inputs() and input(), in order; a sequence
         argument of the wrong length raises. tail reads the evaluation's
@@ -616,21 +625,69 @@ class _Trace:
         besides _Deopt and isfinite. Where the evaluation raises (a _Deopt
         included), the function raises too, or returns None if it declines.
         """
-        self.simplify(tail)
-        body = [f"{target}= {arg}" for arg, target in self.arguments if target]
-        body += self.render()
-        body += tail
-        if declines:
-            body = ["try:", *(f"    {line}" for line in body), "except Exception:", "    return None"]
-        source = "\n    ".join(
-            [f"def traced({', '.join(arg for arg, _ in self.arguments)}):", *body]
-        )
-        source = self.resolve(source)
-        globals_ = {"_Deopt": _Deopt, "isfinite": math.isfinite, **self.constants, **dict(namespace)}
-        exec(source, globals_)
+
+        def write():
+            body = [f"{target}= {arg}" for arg, target in self.arguments if target]
+            body += self.render()
+            body += tail
+            if declines:
+                body = ["try:", *(f"    {line}" for line in body), "except Exception:", "    return None"]
+            return "\n    ".join(
+                [f"def traced({', '.join(arg for arg, _ in self.arguments)}):", *body]
+            )
+
+        globals_ = {"_Deopt": _Deopt, "isfinite": math.isfinite, **dict(namespace)}
+        return self.generate("traced", tail, (declines,), write, globals_)
+
+    def generate(self, name, lines, frame, write, namespace):
+        """The function name that the source write() returns defines, with
+        namespace as its globals, the trace's non-finite constants added.
+
+        write() runs after simplify(lines), and its source is resolve()d and
+        compiled. It may read only the trace, lines and frame, a hashable of
+        everything else it reads: the code is kept by the key of all three
+        (see _key), and a later trace of the same key runs that code in its
+        own namespace without simplify(), write() or resolve(), and is left
+        unsimplified. The kept entry, (source, code, non-finite constants),
+        holds nothing of namespace.
+        """
+        key = self._key(lines, frame)
+        entry = _memo.get(key)
+        if entry is None:
+            self.simplify(lines)
+            source = self.resolve(write())
+            # render() and resolve() may bind constants of their own.
+            entry = source, compile(source, "<string>", "exec"), dict(self.constants)
+            if len(_memo) >= _MEMO_SIZE:
+                _memo.popitem(last=False)
+            _memo[key] = entry
+        namespace.update(entry[2])
+        exec(entry[1], namespace)
         # Popped, so that the function and its globals form no reference
-        # cycle: it goes with its spec or system, not at the next collection.
-        return globals_.pop("traced")
+        # cycle: it goes with its spec, system or run, not at the next
+        # collection.
+        return namespace.pop(name)
+
+    def _key(self, lines, frame):
+        """Everything of the trace that simplify(), render() and resolve()
+        read, with lines and frame. A tuple compares its constants by ==,
+        under which 1 == 1.0 and -0.0 == 0.0, so the key holds the classes of
+        the constants and the bits of the floats among them too, a NaN's
+        payload included. (A NaN operand hashes by its identity, so a trace
+        that records one is compiled afresh each time.)"""
+        checks = tuple([(at, tuple([v.name if v.__class__ is _Traced else v for v in values]), decline)
+                        for at, values, decline in self.checks])
+        constants = [a for op in self.ops for a in op[4] if a.__class__ is not str]
+        constants += [v for _, values, _ in checks for v in values if v.__class__ is not str]
+        constants += self.constants.values()
+        return (
+            tuple(self.ops), checks, frozenset(self.floats), frozenset(self.never_negative_zero),
+            frozenset(self.non_negative), tuple(self.positions.items()), tuple(self.arguments),
+            tuple(self.constants), tuple(lines), frame,
+            tuple([c.__class__ for c in constants]),
+            array("d", [c for c in constants if c.__class__ is float]).tobytes(),
+            tuple([repr(c) for c in constants if c.__class__ is not float]),
+        )
 
 
 def _safe(op):

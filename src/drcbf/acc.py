@@ -50,8 +50,6 @@ __all__ = [
     "build_acc_controller",
     "build_study",
     "case_config",
-    "closed_form_robust_terms",
-    "closed_form_adaptive_terms",
     "summarize_log",
 ]
 
@@ -384,72 +382,6 @@ def case_config(
         adaptive_rates=adaptive_rates,
         verify=verify,
     )
-
-
-def closed_form_robust_terms(
-    params: AccParameters, x, gains, disturbance_bound: float
-) -> dict:
-    """Hand-derived robust-cascade quantities for this plant, for cross-checks.
-
-    With barrier b = D - D_min the disturbance rows have unit norm at every
-    level, so each level subtracts the constant 1/(4 k_i) + k_i bound^2.
-    """
-    d_gap, v_f = float(x[0]), float(x[1])
-    k1, k2 = (float(v) for v in gains)
-    bound_sq = float(disturbance_bound) ** 2
-    b = d_gap - params.min_distance
-    w1 = params.lead_speed - v_f - 1.0 / (4.0 * k1)
-    level1 = w1 - k1 * bound_sq
-    w2 = drag_force(params, v_f) / params.mass - 1.0 / (4.0 * k2)
-    coeffs = pole_table(params)
-    c0_1 = coeffs.row(1)[0]
-    c0_2, c1_2 = coeffs.row(2)
-    phi0 = b
-    phi1 = level1 + c0_1 * b
-    row = (-1.0 / params.mass,)
-    offset = k2 * bound_sq - w2 - c0_2 * b - c1_2 * level1
-    return {
-        "levels": (b, level1),
-        "top_drift": w2,
-        "first_drift": w1,
-        "control_row": row,
-        "offset": offset,
-        "phi": (phi0, phi1),
-    }
-
-
-def closed_form_adaptive_terms(params: AccParameters, x, gains, rates) -> dict:
-    """Hand-derived adaptive-cascade quantities for this plant, for cross-checks."""
-    d_gap, v_f = float(x[0]), float(x[1])
-    k1, k2 = (float(v) for v in gains)
-    r0, r1 = (float(v) for v in rates)
-    b = d_gap - params.min_distance
-    speed_gap = params.lead_speed - v_f
-    pi1 = speed_gap - 1.0 / (4.0 * k1)
-    gamma0 = r0 / b
-    psi1 = pi1 - k1 * gamma0
-    coeffs = pole_table(params)
-    c0_1 = coeffs.row(1)[0]
-    c0_2, c1_2 = coeffs.row(2)
-    phi1 = psi1 + c0_1 * b
-    pi2 = (
-        drag_force(params, v_f) / params.mass
-        - 1.0 / (4.0 * k2)
-        + k1 * r0 * speed_gap / (b * b)
-        - (k1 * k1 * r0 * r0) / (4.0 * k2 * b ** 4)
-    )
-    gamma1 = r1 / phi1
-    row = (-1.0 / params.mass,)
-    offset = k2 * gamma1 - pi2 - c0_2 * b - c1_2 * psi1
-    return {
-        "levels": (b, psi1),
-        "top_drift": pi2,
-        "first_drift": pi1,
-        "gamma": (gamma0, gamma1),
-        "control_row": row,
-        "offset": offset,
-        "phi": (b, phi1),
-    }
 
 
 def summarize_log(log: TrajectoryLog, params: AccParameters) -> dict:

@@ -46,7 +46,6 @@ __all__ = [
     "prepare_run",
     "execute_document",
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "main",
 ]
 
@@ -308,18 +307,6 @@ def write_trajectory_csv(path, log) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(map(row.__mod__, log.rows(log.qp_statuses)))
-
-
-def read_trajectory_csv(path) -> dict:
-    """Read a trajectory CSV back into column lists (floats except qp_status)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        columns = {name: [] for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                columns[name].append(cell if name == "qp_status" else float(cell))
-    return columns
 
 
 def _svg_line_plot(

@@ -111,6 +111,8 @@ class SimulationConfig:
         if not isinstance(self.integrator_substeps, Integral) or self.integrator_substeps < 1:
             raise SimulationError("integrator substeps must be an integer of at least 1")
         ratio = self.horizon / self.control_period
+        if not isfinite(ratio):
+            raise SimulationError("horizon spans more control periods than a float holds")
         steps = round(ratio)
         if steps < 1 or abs(ratio - steps) > _GRID_TOL * max(1.0, ratio):
             raise SimulationError(
@@ -404,8 +406,9 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
     trace's simplification (see drcbf._trace._Trace) then folds operations
     with exact zeros and ones, with the QP's factor of Q among them, and
     computes a repeated right-hand side once, within the code outside the
-    blocks and within each block. Each iteration of the loop does a whole
-    control step: the lookup, the traced assembly with the generic step's
+    blocks and within each block; a later run that records the same trace
+    reuses the compiled code (see drcbf._trace._Trace.generate). Each
+    iteration of the loop does a whole control step: the lookup, the traced assembly with the generic step's
     output checks, the QP's blocks, the residuals, the traced RK4
     substeps, each with the finiteness check, and the step's record: its
     row of floats extended onto log.values in one call, and one entry
@@ -492,38 +495,37 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
             *assign(map(op, xs), state),
             f"x = {op(xs)}",
         ]
-        trace.simplify([*after_first, *repeat, *tail])
-        rk4 = trace.render(first, later) + after_first
-        if substeps > 1:
-            rk4 += [f"for _ in range({substeps - 1}):",
-                    *(f"    {line}" for line in trace.render(later) + repeat)]
-        body = [
-            f"t = k * {config.control_period!r}",
-            *lookup,
-            *trace.render(0, assembly),
-            "try:",
-            *(f"    {line}" for line in ["active = None", *trace.render(assembly, first),
-                                         "if active is None: return k, x", *rk4]),
-            "except Exception:",
-            "    return k, x",
-            *tail,
-        ]
-        source = "\n    ".join([
-            "def loop(k, x):",
-            "values_extend = LOG.values.extend",
-            *(f"{column}_append = LOG.{column}.append"
-              for column in ("qp_statuses", "guard_event_counts", "active_sets")),
-            f"{''.join(f'{op(v)}, ' for v in xs)}= x",
-            f"for k in range(k, {config.steps}):",
-            *(f"    {line}" for line in body),
-            f"return {config.steps}, x",
-        ])
-        source = trace.resolve(source)
-        namespace.update(trace.constants)
-        exec(source, namespace)
-        # Popped, so that the function and its globals form no reference
-        # cycle.
-        return namespace.pop("loop")
+
+        def write():
+            rk4 = trace.render(first, later) + after_first
+            if substeps > 1:
+                rk4 += [f"for _ in range({substeps - 1}):",
+                        *(f"    {line}" for line in trace.render(later) + repeat)]
+            body = [
+                f"t = k * {period}",
+                *lookup,
+                *trace.render(0, assembly),
+                "try:",
+                *(f"    {line}" for line in ["active = None", *trace.render(assembly, first),
+                                             "if active is None: return k, x", *rk4]),
+                "except Exception:",
+                "    return k, x",
+                *tail,
+            ]
+            return "\n    ".join([
+                "def loop(k, x):",
+                "values_extend = LOG.values.extend",
+                *(f"{column}_append = LOG.{column}.append"
+                  for column in ("qp_statuses", "guard_event_counts", "active_sets")),
+                f"{''.join(f'{op(v)}, ' for v in xs)}= x",
+                f"for k in range(k, {config.steps}):",
+                *(f"    {line}" for line in body),
+                f"return {config.steps}, x",
+            ])
+
+        period = repr(config.control_period)
+        frame = (period, config.steps, substeps, assembly, first, later, tuple(lookup))
+        return trace.generate("loop", [*after_first, *repeat, *tail], frame, write, namespace)
     except Exception:
         return None
 

@@ -24,6 +24,7 @@ test can patch them.
 from __future__ import annotations
 
 import ast
+import csv
 import itertools
 import math
 from functools import lru_cache
@@ -32,6 +33,7 @@ from operator import mul
 
 import numpy as np
 
+from drcbf.acc import AccParameters, drag_force, pole_table
 from drcbf.adaptive import build_adrcbf_chain
 from drcbf.controller import ClfSpec, ControllerSpec, control_step
 from drcbf.disturbances import (
@@ -296,14 +298,92 @@ def random_feasible_qp(rng, dim=None):
     return Q, c, A, b, z_int
 
 
+def closed_form_robust_terms(
+    params: AccParameters, x, gains, disturbance_bound: float
+) -> dict:
+    """Hand-derived robust-cascade quantities for this plant, for cross-checks.
+
+    With barrier b = D - D_min the disturbance rows have unit norm at every
+    level, so each level subtracts the constant 1/(4 k_i) + k_i bound^2.
+    """
+    d_gap, v_f = float(x[0]), float(x[1])
+    k1, k2 = (float(v) for v in gains)
+    bound_sq = float(disturbance_bound) ** 2
+    b = d_gap - params.min_distance
+    w1 = params.lead_speed - v_f - 1.0 / (4.0 * k1)
+    level1 = w1 - k1 * bound_sq
+    w2 = drag_force(params, v_f) / params.mass - 1.0 / (4.0 * k2)
+    coeffs = pole_table(params)
+    c0_1 = coeffs.row(1)[0]
+    c0_2, c1_2 = coeffs.row(2)
+    phi0 = b
+    phi1 = level1 + c0_1 * b
+    row = (-1.0 / params.mass,)
+    offset = k2 * bound_sq - w2 - c0_2 * b - c1_2 * level1
+    return {
+        "levels": (b, level1),
+        "top_drift": w2,
+        "first_drift": w1,
+        "control_row": row,
+        "offset": offset,
+        "phi": (phi0, phi1),
+    }
+
+
+def closed_form_adaptive_terms(params: AccParameters, x, gains, rates) -> dict:
+    """Hand-derived adaptive-cascade quantities for this plant, for cross-checks."""
+    d_gap, v_f = float(x[0]), float(x[1])
+    k1, k2 = (float(v) for v in gains)
+    r0, r1 = (float(v) for v in rates)
+    b = d_gap - params.min_distance
+    speed_gap = params.lead_speed - v_f
+    pi1 = speed_gap - 1.0 / (4.0 * k1)
+    gamma0 = r0 / b
+    psi1 = pi1 - k1 * gamma0
+    coeffs = pole_table(params)
+    c0_1 = coeffs.row(1)[0]
+    c0_2, c1_2 = coeffs.row(2)
+    phi1 = psi1 + c0_1 * b
+    pi2 = (
+        drag_force(params, v_f) / params.mass
+        - 1.0 / (4.0 * k2)
+        + k1 * r0 * speed_gap / (b * b)
+        - (k1 * k1 * r0 * r0) / (4.0 * k2 * b ** 4)
+    )
+    gamma1 = r1 / phi1
+    row = (-1.0 / params.mass,)
+    offset = k2 * gamma1 - pi2 - c0_2 * b - c1_2 * psi1
+    return {
+        "levels": (b, psi1),
+        "top_drift": pi2,
+        "first_drift": pi1,
+        "gamma": (gamma0, gamma1),
+        "control_row": row,
+        "offset": offset,
+        "phi": (b, phi1),
+    }
+
+
+def read_trajectory_csv(path) -> dict:
+    """Read a trajectory CSV back into column lists (floats except qp_status)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        columns = {name: [] for name in header}
+        for row in reader:
+            for name, cell in zip(header, row):
+                columns[name].append(cell if name == "qp_status" else float(cell))
+    return columns
+
+
 def settled_gap(params, gains, *, bound=None, rates=None):
     """Gap at which a cruise-control run settles once its safety row binds.
 
     At the settled equilibrium the follower matches the lead speed, the
     thrust cancels drag and the disturbance averages out, so the hand-derived
     safety condition of the study holds with equality at u = drag:
-    acc.closed_form_robust_terms with the disturbance bound (robust cascade)
-    or acc.closed_form_adaptive_terms with the rates (adaptive cascade).
+    closed_form_robust_terms with the disturbance bound (robust cascade) or
+    closed_form_adaptive_terms with the rates (adaptive cascade).
     For the robust cascade with b the gap above the floor this reads
 
         c_0 b = P_2 + c_1 P_1,   P_i = 1/(4 k_i) + k_i D^2,
@@ -318,8 +398,6 @@ def settled_gap(params, gains, *, bound=None, rates=None):
     set for the adaptive cascade, where it tends to -inf at the boundary
     phi_1 = 0), so bisection finds the one root. Nothing here simulates.
     """
-    from drcbf.acc import closed_form_adaptive_terms, closed_form_robust_terms, drag_force
-
     if (bound is None) == (rates is None):
         raise ValueError("give the disturbance bound or the adaptive rates")
     speed = params.lead_speed
@@ -716,46 +794,45 @@ def canonical(node):
     return ast.dump(node)
 
 
-def generated_sources(config):
-    """The source of each function the library generates for config, by
-    kind: "loop" (run_simulation's loop), "step" (the spec's control step),
-    "rk4" (the system's RK4 step) and "lookup" (the realization's
-    disturbance lookup, with a disturbance).
+def generated_code(config):
+    """The memo's entries (see drcbf._trace._Trace.generate), by key, of each
+    function the library generates for config: run_simulation's loop, the
+    spec's control step, the system's RK4 step and, with a disturbance, the
+    realization's lookup.
 
-    Runs one control period of config, then one control step, one lookup
-    and one RK4 step at x0 with the spec's, the realization's and the
-    system's compiled functions reset, with exec shadowed in the modules that
-    call it, so that each source is recorded as it is compiled.
+    Clears the memo, then runs one control period of config, then one
+    control step, one lookup and one RK4 step at x0 with the spec's, the
+    realization's and the system's compiled functions reset, so that each
+    function is compiled afresh.
     """
     from dataclasses import replace
 
-    from drcbf import _trace, simulate
+    from drcbf import _trace
 
+    spec, system = config.controller, config.system
+    _trace._memo.clear()
+    run_simulation(replace(config, horizon=config.control_period))
+    object.__setattr__(spec, "_step", None)
+    object.__setattr__(system, "_rk4", None)
+    if config.disturbance is not None:
+        object.__setattr__(config.disturbance, "_lookup", None)
+    u = control_step(spec, config.x0, 0.0).u
+    d = (0.0,) * system.q if config.disturbance is None else evaluate_signal(config.disturbance, 0.0)
+    integrate_step(system, config.x0, u, d, config.control_period / config.integrator_substeps)
+    return dict(_trace._memo)
+
+
+def generated_sources(config):
+    """The source of each function the library generates for config (see
+    generated_code), by kind: "loop" (run_simulation's loop), "step" (the
+    spec's control step), "rk4" (the system's RK4 step) and "lookup" (the
+    realization's disturbance lookup, with a disturbance)."""
     sources = {}
-
-    def recording(source, namespace):
+    for source, _, _ in generated_code(config).values():
         kind = ("loop" if source.startswith("def loop(") else
                 "step" if "ControlStepResult" in source else
                 "lookup" if "DisturbanceError" in source else "rk4")
         sources[kind] = source
-        exec(source, namespace)
-
-    spec, system = config.controller, config.system
-    modules = (_trace, simulate)
-    for module in modules:
-        module.exec = recording
-    try:
-        run_simulation(replace(config, horizon=config.control_period))
-        object.__setattr__(spec, "_step", None)
-        object.__setattr__(system, "_rk4", None)
-        if config.disturbance is not None:
-            object.__setattr__(config.disturbance, "_lookup", None)
-        u = control_step(spec, config.x0, 0.0).u
-        d = (0.0,) * system.q if config.disturbance is None else evaluate_signal(config.disturbance, 0.0)
-        integrate_step(system, config.x0, u, d, config.control_period / config.integrator_substeps)
-    finally:
-        for module in modules:
-            del module.exec
     return sources
 
 

@@ -11,8 +11,6 @@ from drcbf.acc import (
     case_bound,
     case_config,
     case_disturbance_spec,
-    closed_form_adaptive_terms,
-    closed_form_robust_terms,
     distance_barrier,
     drag_force,
     acc_system,
@@ -28,7 +26,7 @@ from drcbf.fields import lie_h, verify_relative_degree
 from drcbf.robust import build_drcbf_chain, evaluate_with_clamping, membership, optimal_k
 from drcbf.simulate import TrajectoryLog, run_simulation
 
-from oracles import fd_gradient
+from oracles import closed_form_adaptive_terms, closed_form_robust_terms, fd_gradient
 
 PARAMS = AccParameters()
 SYSTEM = acc_system(PARAMS)

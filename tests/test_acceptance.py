@@ -19,8 +19,6 @@ from drcbf.acc import (
     acc_system,
     case_bound,
     case_config,
-    closed_form_adaptive_terms,
-    closed_form_robust_terms,
     distance_barrier,
     pole_table,
     speed_tracking_clf,
@@ -40,6 +38,8 @@ from drcbf.robust import (
 from drcbf.simulate import run_simulation
 
 from oracles import (
+    closed_form_adaptive_terms,
+    closed_form_robust_terms,
     fd_gradient,
     grid_refine_qp,
     random_feasible_qp,

@@ -15,13 +15,14 @@ from drcbf.cli import (
     execute_document,
     main,
     prepare_run,
-    read_trajectory_csv,
     validate_document,
     write_trajectory_csv,
     _split_values,
 )
 from drcbf.robust import optimal_k
 from drcbf.simulate import TrajectoryLog, run_simulation
+
+from oracles import read_trajectory_csv
 
 
 def quiet_doc(controller="drcbf", horizon=0.5, **extra):
@@ -377,6 +378,12 @@ class TestCommandLine:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "horizon must be finite" in capsys.readouterr().err
 
+    def test_a_horizon_of_more_periods_than_a_float_holds_exits_one(self, tmp_path, capsys):
+        # 1e306 / 1e-3 overflows to inf, so the run has no step count.
+        cfg = write_config(tmp_path, quiet_doc(horizon=1e306))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "more control periods than a float holds" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
 
@@ -474,6 +481,16 @@ class TestCommandLine:
         assert "horizon must be finite" in capsys.readouterr().err
         table = (out / "sweep_summary.csv").read_text().strip().splitlines()
         assert [line.split(",")[1:3] for line in table[1:]] == [["0.2", "0"], ["Infinity", "1"]]
+
+    def test_a_horizon_of_too_many_periods_ends_only_its_own_member(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quiet_doc())
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(cfg), "--param", "horizon", "--values", "0.2,1e306",
+                     "--out", str(out), "--jobs", "1"])
+        assert code == 1
+        assert "more control periods than a float holds" in capsys.readouterr().err
+        table = (out / "sweep_summary.csv").read_text().strip().splitlines()
+        assert [line.split(",")[1:3] for line in table[1:]] == [["0.2", "0"], ["1e+306", "1"]]
 
     def test_sweep_rejects_unknown_parameter_paths(self, tmp_path):
         cfg = write_config(tmp_path, quiet_doc())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drcbf._trace import _Deopt, _Trace
+from drcbf._trace import _Deopt, _Trace, _memo
 from drcbf.fields import (
     ControlAffineSystem,
     DimensionMismatchError,
@@ -581,6 +581,9 @@ class TestGeneratedSources:
 
         config = build_study(mode, case=1, horizon=0.01, verify=False)
         d = evaluate_signal(config.disturbance, 0.0)
+        # Compiled afresh, so that each trace is simplified (see
+        # _Trace.generate).
+        _memo.clear()
         monkeypatch.setattr(_Trace, "function", spy)
         u = control_step(config.controller, config.x0, 0.0).u
         integrate_step(config.system, config.x0, u, d, 1e-3)

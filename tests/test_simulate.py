@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from drcbf import simulate
+from drcbf import _trace, simulate
 from drcbf.adaptive import AdrcbfChain
 from drcbf.controller import ClfSpec, ControllerSpec, control_step
 from drcbf.disturbances import evaluate as evaluate_signal
@@ -28,6 +28,7 @@ from drcbf.fields import (
 from drcbf.disturbances import (
     Constant,
     DisturbanceError,
+    SignalRealization,
     SignalSpec,
     realize,
 )
@@ -193,6 +194,19 @@ class TestConfigValidation:
                 disturbance=None,
                 x0=good.x0,
                 horizon=1.0,
+                control_period=period,
+            )
+
+    @pytest.mark.parametrize("horizon, period", [(1e306, 1e-3), (1.0, 5e-324)])
+    def test_a_step_count_that_overflows_is_rejected(self, horizon, period):
+        good = build_study("drcbf", case=2, horizon=1.0, verify=False)
+        with pytest.raises(SimulationError, match="more control periods than a float holds"):
+            SimulationConfig(
+                system=good.system,
+                controller=good.controller,
+                disturbance=None,
+                x0=good.x0,
+                horizon=horizon,
                 control_period=period,
             )
 
@@ -837,20 +851,14 @@ class TestGeneratedLoop:
         assert str(got.value) == str(want.value)
         assert "0.201" in str(got.value)
 
-    def test_repeated_right_hand_sides_are_computed_once(self, monkeypatch):
+    def test_repeated_right_hand_sides_are_computed_once(self):
         # One trace spans the assembly and RK4, so the drift that both
         # evaluate at the state is computed once per step. A right-hand side
         # is shared within the code outside the QP's blocks and within each
         # block, not across blocks, whose names are unbound after a break.
-        sources = []
-
-        def spy(source, namespace):
-            sources.append(source)
-            exec(source, namespace)
-
-        monkeypatch.setattr(simulate, "exec", spy, raising=False)
+        _trace._memo.clear()
         run_simulation(build_study("drcbf", case=1, horizon=0.01, verify=False))
-        (source,) = sources
+        (source,) = [source for source, _, _ in _trace._memo.values() if source.startswith("def loop(")]
         regions = oracles.straight_line_regions(source.splitlines())
         assert len(regions) == 5
         for lines in regions:
@@ -886,3 +894,98 @@ class TestGeneratedLoop:
             assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+class TestCodeMemo:
+    """Generated code is compiled once per distinct trace and kept in a
+    bounded memo (see drcbf._trace._Trace.generate); a run whose trace has
+    the key of a kept entry runs that entry's code."""
+
+    @staticmethod
+    def loop_keys():
+        return [key for key, (source, _, _) in _trace._memo.items() if source.startswith("def loop(")]
+
+    def test_equal_keys_give_equal_sources(self):
+        # Each config's functions are compiled with the memo cleared, so
+        # every source here is generated afresh: the key must tell apart
+        # every pair of traces whose sources differ.
+        from dataclasses import replace
+
+        from drcbf.cli import prepare_run
+        from golden_study import documents, log_configs
+
+        configs = {name: prepare_run(doc)[0] for name, doc in documents().items()}
+        configs.update(log_configs())
+        for seed in (1, 2, 3):
+            configs[f"seed {seed}"] = build_study("drcbf", case=1, seed=seed, horizon=4.0, verify=False)
+        for multiplier in (0.5, 1.0, 2.0):
+            configs[f"k_multiplier {multiplier}"] = build_study(
+                "drcbf", case=3, gain_multiplier=multiplier, horizon=4.0, verify=False)
+        configs["speed -0.0"] = build_study(
+            "adrcbf", case=1, params=AccParameters(initial_state=(100.0, -0.0)), horizon=4.0,
+            verify=False)
+        # Two realizations that differ only in one draw, 0.25 against -0.0:
+        # the held value 0.0 + draw folds to the draw only where no draw is
+        # -0.0.
+        base = build_study("drcbf", case=1, horizon=4.0, verify=False)
+        realization = base.disturbance
+        (first, *rest), *others = realization.draws
+        for name, value in (("draw 0.25", 0.25), ("draw -0.0", -0.0)):
+            draws = ((first[:3] + (value,) + first[4:], *rest), *others)
+            configs[name] = replace(base, disturbance=SignalRealization(
+                spec=realization.spec, horizon=realization.horizon, draws=draws))
+        seen, compiled, loops = {}, 0, {}
+        for name, config in configs.items():
+            for key, (source, _, _) in oracles.generated_code(config).items():
+                assert seen.setdefault(key, source) == source, name
+                compiled += 1
+                if source.startswith("def loop("):
+                    loops[name] = key, source
+        assert len(configs) == 26
+        # The seeds share their loop's key, and so does the draw of 0.25;
+        # the draw of -0.0 makes another loop.
+        assert len({loops[name][0] for name in ("seed 1", "seed 2", "seed 3", "draw 0.25")}) == 1
+        assert loops["draw 0.25"][1] != loops["draw -0.0"][1]
+        assert len(seen) < compiled
+
+    def test_a_run_of_kept_code_is_the_cold_run(self):
+        _trace._memo.clear()
+        run_simulation(build_study("adrcbf", case=1, seed=1, horizon=2.0, verify=False))
+        kept = self.loop_keys()
+        assert len(kept) == 1
+        config = build_study("adrcbf", case=1, seed=2, horizon=2.0, verify=False)
+        warm = assert_same_run(config)
+        # Seed 2 ran seed 1's loop: no other loop was compiled.
+        assert self.loop_keys() == kept
+        assert warm.metadata["fallback_steps"] == 0
+        _trace._memo.clear()
+        cold = run_simulation(config)
+        assert warm.values == cold.values
+        assert (warm.qp_statuses, warm.guard_event_counts, warm.active_sets) == (
+            cold.qp_statuses, cold.guard_event_counts, cold.active_sets)
+
+    def test_the_memo_holds_at_most_its_bound(self):
+        _trace._memo.clear()
+        keys = []
+        for i in range(_trace._MEMO_SIZE + 10):
+            trace = _trace._Trace()
+            tail = [f"return {trace.operand(trace.input(1.0) * (i + 2.0))}"]
+            keys.append(trace._key(tail, (False,)))
+            assert trace.function(tail)(3.0) == 3.0 * (i + 2.0)
+        assert len(_trace._memo) == _trace._MEMO_SIZE
+        # The oldest went first.
+        assert list(_trace._memo) == keys[10:]
+
+    def test_a_finished_run_leaves_nothing_of_its_own_in_the_memo(self):
+        config = build_study("drcbf", case=1, horizon=0.05, verify=False)
+        draws = config.disturbance.draws[0][0]
+        log = run_simulation(config)
+        assert len(log) == 50
+        assert any(source.startswith("def loop(") for source, _, _ in _trace._memo.values())
+        refs = [weakref.ref(log), weakref.ref(config.disturbance)]
+        del config, log
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        # The draw tuple is no longer held by anything but this test (the
+        # local and getrefcount's argument); a tuple takes no weak reference.
+        assert sys.getrefcount(draws) == 2

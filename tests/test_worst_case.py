@@ -1,7 +1,7 @@
 """The worst bounded disturbance on ACC: a constant of the bound's norm.
 
 Every cascade level's L_h is a constant vector on ACC (see
-acc.closed_form_robust_terms), so the disturbance that pushes a level
+oracles.closed_form_robust_terms), so the disturbance that pushes a level
 hardest is a constant d = D (cos theta, sin theta) of norm D in a fixed
 direction. The sweep runs 20 s under such a d with D = case_bound(1), for
 theta = k pi / 4, k = 0 ... 7:

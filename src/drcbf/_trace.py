@@ -12,6 +12,7 @@ import functools
 import math
 import re
 import sys
+import threading
 from array import array
 from bisect import bisect_left
 from collections import OrderedDict
@@ -42,6 +43,7 @@ _INLINE_DEPTH = 40
 # keeps about 140 KB.
 _MEMO_SIZE = 32
 _memo = OrderedDict()
+_memo_lock = threading.Lock()
 
 
 def _negative_zero(c):
@@ -658,9 +660,10 @@ class _Trace:
             source = self.resolve(write())
             # render() and resolve() may bind constants of their own.
             entry = source, compile(source, "<string>", "exec"), dict(self.constants)
-            if len(_memo) >= _MEMO_SIZE:
-                _memo.popitem(last=False)
-            _memo[key] = entry
+            with _memo_lock:
+                if len(_memo) >= _MEMO_SIZE:
+                    _memo.popitem(last=False)
+                _memo[key] = entry
         namespace.update(entry[2])
         exec(entry[1], namespace)
         # Popped, so that the function and its globals form no reference

@@ -495,6 +495,7 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
             *assign(map(op, xs), state),
             f"x = {op(xs)}",
         ]
+        period = repr(config.control_period)
 
         def write():
             rk4 = trace.render(first, later) + after_first
@@ -523,7 +524,6 @@ def _compile_loop(config: SimulationConfig, log: TrajectoryLog):
                 f"return {config.steps}, x",
             ])
 
-        period = repr(config.control_period)
         frame = (period, config.steps, substeps, assembly, first, later, tuple(lookup))
         return trace.generate("loop", [*after_first, *repeat, *tail], frame, write, namespace)
     except Exception:

@@ -976,6 +976,34 @@ class TestCodeMemo:
         # The oldest went first.
         assert list(_trace._memo) == keys[10:]
 
+    def test_concurrent_compiles_keep_the_bound(self):
+        # Threads compiling distinct traces at once, 4 * 24 of them, each
+        # evicting where the memo is full: it never holds more than its
+        # bound, and every function computes its own trace.
+        _trace._memo.clear()
+        wrong = []
+
+        def worker(first):
+            for i in range(first, first + 24):
+                trace = _trace._Trace()
+                tail = [f"return {trace.operand(trace.input(1.0) * (i + 2.0))}"]
+                if trace.function(tail)(3.0) != 3.0 * (i + 2.0):
+                    wrong.append(i)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(24 * j,)) for j in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(_trace._memo) == _trace._MEMO_SIZE
+
     def test_a_finished_run_leaves_nothing_of_its_own_in_the_memo(self):
         config = build_study("drcbf", case=1, horizon=0.05, verify=False)
         draws = config.disturbance.draws[0][0]

@@ -15,7 +15,6 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left
-from collections import OrderedDict
 from fractions import Fraction
 from math import copysign
 from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub, truediv
@@ -42,7 +41,7 @@ _INLINE_DEPTH = 40
 # at most _MEMO_SIZE of them, a new entry evicting the oldest; a run's loop
 # keeps about 140 KB.
 _MEMO_SIZE = 32
-_memo = OrderedDict()
+_memo = {}
 _memo_lock = threading.Lock()
 
 
@@ -662,7 +661,7 @@ class _Trace:
             entry = source, compile(source, "<string>", "exec"), dict(self.constants)
             with _memo_lock:
                 if len(_memo) >= _MEMO_SIZE:
-                    _memo.popitem(last=False)
+                    del _memo[next(iter(_memo))]
                 _memo[key] = entry
         namespace.update(entry[2])
         exec(entry[1], namespace)

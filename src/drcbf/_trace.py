@@ -11,11 +11,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-import sys
 import threading
 from array import array
 from bisect import bisect_left
-from fractions import Fraction
 from math import copysign
 from operator import add, eq, ge, gt, le, lt, mul, ne, neg, sub, truediv
 
@@ -30,8 +28,6 @@ _COMPARISONS = {"<": lt, "<=": le, ">": gt, ">=": ge, "==": eq, "!=": ne}
 # The operations whose result is non-finite wherever an operand is; a
 # division's is wherever its numerator is, or it raises.
 _PROPAGATING = frozenset(("+", "-", "*", "neg", "abs"))
-# Values this large or larger round to infinity.
-_OVERFLOW = Fraction(2**1024 - 2**970)
 # The names of the recorded operations' results in source.
 _RESULT_NAME = re.compile(r"\bt\d+\b|\b_finite\d+\b")
 _NO_NAMES = frozenset()
@@ -88,12 +84,11 @@ class _Trace:
       above or at 0.0, a local declared so, and sums, products and
       quotients of non-negative values;
     - exact where x is finite: x * ±0.0 is a zero (of either sign), and so
-      are products of zeros with finite constants or names, sums,
-      differences and negations of zeros and zeros over a finite non-zero
-      constant; a + z and a - z are a where a is never -0.0 or has the sign
-      bit of z (of -z, for a - z), and z * z and abs(z) are 0.0. Sign bits
-      are known as the parity of those of a set of names, through
-      products, quotients, negations and x + x.
+      are products of zeros with finite constants or names, and sums,
+      differences and negations of zeros; a + z and a - z are a where a is
+      never -0.0 or has the sign bit of z (of -z, for a - z). Sign bits are
+      known as the parity of those of a set of names, through products,
+      quotients, negations and x + x.
 
     The last rules hold only where every name they take as finite is: such
     a rule is applied only where a non-finite value of that name would still
@@ -102,12 +97,14 @@ class _Trace:
     where the name is not finite, the simplified function declines as the
     evaluation's own would have. Where the name reaches no check, it is
     added to the first check after it, or, in its place, an operand it
-    cannot be non-finite without (see _implied); with no check after it,
-    the rule is not applied and the operation is kept. The simplified
-    function may thus decline where the evaluation's own would not, never
-    the other way round. Then every operation whose result is no longer
-    read, and which cannot raise, is dropped. A recorded comparison is never
-    moved, and dropped only where its operands are constants.
+    cannot be non-finite without: the operand y of an operation whose
+    result is at most |y| in magnitude (see _implied), and so on down such
+    a chain, each step of which keeps a finite value finite. With no check
+    after it, the rule is not applied and the operation is kept. The
+    simplified function may thus decline where the evaluation's own would
+    not, never the other way round. Then every operation whose result is no
+    longer read, and which cannot raise, is dropped. A recorded comparison
+    is never moved, and dropped only where its operands are constants.
 
     A break is no decline: a folded result may steer a comparison in a
     block, and the code then goes on down another path. So a check counts
@@ -349,16 +346,12 @@ class _Trace:
                 valid = sites(folds)
                 if any(name in reach[i] for i in valid):
                     continue
-                nodes, steps = [name], []
-                step = _implied(defined.get(name))
-                while step:
-                    nodes.append(step[0])
-                    steps.append(step[1:])
-                    step = _implied(defined.get(step[0]))
                 # The operands that name cannot be non-finite without: one
                 # that reaches a check, or else the farthest with a check
                 # after it.
-                roots = [y for j, y in enumerate(nodes) if _stays_finite(steps[:j][::-1])]
+                roots = [name]
+                while (y := _implied(defined.get(roots[-1]))) is not None:
+                    roots.append(y)
                 if any(y in reach[i] for i in valid for y in roots):
                     continue
                 site = next(((i, y) for y in reversed(roots) for i in valid
@@ -435,8 +428,6 @@ class _Trace:
                 (a,) = args
                 if a.__class__ is not str:
                     return _UNARY[kind](a), _NO_NAMES
-                if kind == "abs" and a in zeros:
-                    return 0.0, zeros[a]
                 return None
             a, b = args
             if a.__class__ is not str and b.__class__ is not str:
@@ -463,8 +454,6 @@ class _Trace:
                 for p, q in ((a, b), (b, a)):
                     if is_float(p) and q.__class__ is float and q == 1.0:
                         return p, _NO_NAMES
-                if a == b and zero(a) is not None:
-                    return 0.0, zero(a)
             elif is_float(a) and b.__class__ is float and b == 1.0:
                 return a, _NO_NAMES
             return None
@@ -476,19 +465,12 @@ class _Trace:
             if kind in ("+", "-"):
                 za, zb = map(zero, args)
                 return None if za is None or zb is None else za | zb
-            if kind == "/":
-                a, b = args
-                finite = b.__class__ is float and b != 0.0 and math.isfinite(b)
-                return zero(a) if finite else None
             if kind != "*":
                 return None
             for p, q in (args, args[::-1]):
                 zq = zero(q)
                 if zq is None:
                     continue
-                zp = zero(p)
-                if zp is not None:
-                    return zq | zp
                 if p.__class__ is str:
                     if p in floats and p not in blocked:
                         return zq | {p}
@@ -712,44 +694,26 @@ def _prune(kept, live):
 
 
 def _implied(op):
-    """(y, scale, shift) for the one name y that op reads, if op negates,
-    takes abs, adds a constant, doubles y, multiplies by a constant or
-    divides by a non-zero one: its result is then at most scale * |y| +
-    shift in magnitude before rounding, so finite wherever y and that bound
-    are. None otherwise."""
+    """The one name y that op reads, if its result is at most |y| in
+    magnitude: op is -y, abs(y), y ± 0.0 or 0.0 ± y (a zero of either
+    sign), y * c with |c| <= 1 or y / c with |c| >= 1, for a constant c. It
+    is then finite wherever y is. None otherwise."""
     if op is None:
         return None
     _, _, kind, _, args = op
-    named = {a for a in args if a.__class__ is str}
+    named = [a for a in args if a.__class__ is str]
     if len(named) != 1 or not (kind in _PROPAGATING or kind == "/"):
         return None
     (y,) = named
-    if len(args) == 1:
-        return y, 1, 0
+    if kind in _UNARY:
+        return y
     a, b = args
-    if a == b:
-        return (y, 2, 0) if kind in ("+", "-") else None
     c = b if a == y else a
-    if not math.isfinite(c):
-        return None
-    if kind in ("+", "-"):
-        return y, 1, Fraction(abs(c))
     if kind == "*":
-        return y, Fraction(abs(c)), 0
-    return (y, 1 / Fraction(abs(c)), 0) if a == y and c != 0 else None
-
-
-def _stays_finite(steps):
-    """Whether a finite float stays finite through steps, (scale, shift)
-    pairs of _implied in order, each result rounded to the nearest float."""
-    bound = sys.float_info.max
-    for scale, shift in steps:
-        exact = scale * Fraction(bound) + shift
-        if exact >= _OVERFLOW:
-            return False
-        # Rounding is monotone, so the rounded result is at most this.
-        bound = float(exact)
-    return True
+        return y if abs(c) <= 1.0 else None
+    if kind == "/":
+        return y if a == y and abs(c) >= 1.0 else None
+    return y if c == 0.0 else None
 
 
 class _Traced:

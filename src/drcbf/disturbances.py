@@ -37,6 +37,9 @@ __all__ = [
 # one part in 1e9 of an interval boundary counts as the later interval, which
 # keeps step times of the form k * dt on draw index k despite rounding.
 _BOUNDARY_NUDGE = 1e-9
+# The most held values a noise term draws, and the most control periods a
+# run takes (see simulate.SimulationConfig): about 2.8 h at 1 ms.
+_MAX_SAMPLES = 10**7
 
 
 class DisturbanceError(ValueError):
@@ -120,12 +123,6 @@ class SignalSpec:
     def width(self) -> int:
         return len(self.channels)
 
-    @property
-    def has_noise(self) -> bool:
-        return any(
-            isinstance(term, UniformNoise) for terms in self.channels for term in terms
-        )
-
 
 def term_bound(term) -> float:
     """Smallest constant that bounds |term(t)| for all t."""
@@ -184,8 +181,10 @@ class SignalRealization:
 
 
 def _draw_count(horizon: float, hold: float) -> int:
-    ratio = horizon / hold
-    return max(1, math.ceil(ratio - _BOUNDARY_NUDGE))
+    ratio = horizon / hold - _BOUNDARY_NUDGE
+    if not ratio <= _MAX_SAMPLES:
+        raise DisturbanceError(f"a noise term would draw more than {_MAX_SAMPLES} values")
+    return max(1, math.ceil(ratio))
 
 
 def realize(spec: SignalSpec, horizon: float) -> SignalRealization:

@@ -41,6 +41,7 @@ from .controller import (
     control_step,
 )
 from .disturbances import (
+    _MAX_SAMPLES,
     SignalRealization,
     _horizon_limit,
     _lookup_channels,
@@ -118,6 +119,8 @@ class SimulationConfig:
             raise SimulationError(
                 "horizon must be a whole positive number of control periods"
             )
+        if steps > _MAX_SAMPLES:
+            raise SimulationError(f"horizon spans more than {_MAX_SAMPLES} control periods")
         object.__setattr__(self, "_steps", int(steps))
         if self.disturbance is not None:
             if self.disturbance.spec.width != self.system.q:

@@ -384,6 +384,12 @@ class TestCommandLine:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "more control periods than a float holds" in capsys.readouterr().err
 
+    def test_a_horizon_of_too_many_noise_draws_exits_one(self, tmp_path, capsys):
+        # Case 1 holds each noise draw for 1 ms: 1e8 draws, over the cap.
+        cfg = write_config(tmp_path, {"case": 1, "controller": "drcbf", "horizon": 1e5})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "would draw more than 10000000 values" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 1
 
@@ -491,6 +497,16 @@ class TestCommandLine:
         assert "more control periods than a float holds" in capsys.readouterr().err
         table = (out / "sweep_summary.csv").read_text().strip().splitlines()
         assert [line.split(",")[1:3] for line in table[1:]] == [["0.2", "0"], ["1e+306", "1"]]
+
+    def test_a_horizon_of_too_many_steps_ends_only_its_own_member(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quiet_doc())
+        out = tmp_path / "sweep"
+        code = main(["sweep", str(cfg), "--param", "horizon", "--values", "0.2,1e5",
+                     "--out", str(out), "--jobs", "1"])
+        assert code == 1
+        assert "more than 10000000 control periods" in capsys.readouterr().err
+        table = (out / "sweep_summary.csv").read_text().strip().splitlines()
+        assert [line.split(",")[1:3] for line in table[1:]] == [["0.2", "0"], ["100000.0", "1"]]
 
     def test_sweep_rejects_unknown_parameter_paths(self, tmp_path):
         cfg = write_config(tmp_path, quiet_doc())

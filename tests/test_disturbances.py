@@ -142,6 +142,14 @@ class TestRealizeAndReplay:
         with pytest.raises(DisturbanceError, match="horizon must be finite"):
             SignalRealization(spec=spec, horizon=horizon, draws=realize(spec, 1.0).draws)
 
+    @pytest.mark.parametrize("horizon, hold", [(1e5, 1e-3), (1.0, 5e-324)])
+    def test_a_draw_count_above_the_cap_is_rejected_before_drawing(self, horizon, hold, monkeypatch):
+        # 1e8 draws, and a count that overflows a float.
+        monkeypatch.setattr(np.random, "Generator", None)
+        spec = SignalSpec(channels=((UniformNoise(-1.0, 1.0, hold),),))
+        with pytest.raises(DisturbanceError, match="would draw more than 10000000 values"):
+            realize(spec, horizon)
+
 
 class TestEvaluate:
     def test_pure_sinusoid_values(self):

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import gc
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,6 +12,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drcbf import _trace, simulate
 from drcbf.adaptive import AdrcbfChain
@@ -30,10 +33,12 @@ from drcbf.disturbances import (
     DisturbanceError,
     SignalRealization,
     SignalSpec,
+    Sinusoid,
+    UniformNoise,
     realize,
 )
 from drcbf.poles import coefficients_from_poles
-from drcbf.robust import DrcbfChain, HocbfChain, build_hocbf_chain
+from drcbf.robust import BarrierConstructionError, DrcbfChain, HocbfChain, build_hocbf_chain, membership
 from drcbf.simulate import (
     IntegrationFault,
     SimulationConfig,
@@ -264,6 +269,13 @@ class TestConfigValidation:
     def test_step_count(self):
         config = build_study("drcbf", case=2, horizon=2.0, verify=False)
         assert config.steps == 2000
+
+    def test_a_step_count_above_the_cap_is_rejected(self):
+        good = build_study("drcbf", horizon=1.0, verify=False)
+        fields = dict(system=good.system, controller=good.controller, disturbance=None, x0=good.x0)
+        assert SimulationConfig(**fields, horizon=1e4).steps == 10**7
+        with pytest.raises(SimulationError, match="more than 10000000 control periods"):
+            SimulationConfig(**fields, horizon=1e4 + 1e-3)
 
 
 class TestRunSimulation:
@@ -751,6 +763,18 @@ class TestGeneratedLoop:
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
                     assert values[1] != 1.0, line
 
+    @pytest.mark.parametrize("mode, loop, step", [("hocbf", 225, 166), ("drcbf", 228, 169),
+                                                  ("adrcbf", 239, 180)])
+    def test_the_case_1_functions_keep_their_folds(self, mode, loop, step):
+        # The float operations of each function generated for the case-1
+        # study, bounded by the counts of the tracer as it stands, so that
+        # a change to it that loses folds fails here.
+        sources = oracles.generated_sources(build_study(mode, case=1, verify=False))
+        counts = {kind: len(oracles.operations(source.splitlines())) for kind, source in sources.items()}
+        bounds = {"loop": loop, "step": step, "rk4": 70, "lookup": 10}
+        assert counts.keys() == bounds.keys()
+        assert all(counts[kind] <= bounds[kind] for kind in bounds), counts
+
     def test_no_fallback_step_on_the_default_study_runs(self):
         for mode in ("hocbf", "drcbf", "adrcbf"):
             for case in (1, 2, 3):
@@ -894,6 +918,67 @@ class TestGeneratedLoop:
             assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+@st.composite
+def acc_configs(draw):
+    """A random ACC run: mode, a period of 1-10 ms, 1-3 substeps, a horizon
+    of about 1-3 s, an initial gap and a speed of 0.0, -0.0 or 10-30 m/s, a
+    study case or 1-3 random terms on the first channel, and at times a gain
+    multiplier and adaptive rates. Half the draws are adrcbf at 5-10 ms with
+    rates of 100-1000, which hand steps back to the per-step body more
+    often."""
+    handback = draw(st.booleans())
+    mode = "adrcbf" if handback else draw(st.sampled_from(["hocbf", "drcbf", "adrcbf"]))
+    dt = draw(st.integers(5 if handback else 1, 10)) * 1e-3
+    steps = round(draw(st.integers(1, 3)) / dt)
+    speed = draw(st.sampled_from([0.0, -0.0]) | st.floats(10.0, 30.0))
+    params = AccParameters(initial_state=(draw(st.floats(12.0, 120.0)), speed))
+    scale = st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e)
+    study = {}
+    if draw(st.booleans()):
+        study["case"] = draw(st.integers(1, 3))
+        study["seed"] = draw(st.integers(0, 2**16))
+    else:
+        amplitude = st.floats(-3000.0, 3000.0)
+        noise = st.tuples(amplitude, amplitude, st.sampled_from([dt, 2 * dt, 0.1])).map(
+            lambda v: UniformNoise(min(v[:2]), max(v[:2]), v[2]))
+        term = st.builds(Constant, amplitude) | st.builds(Sinusoid, amplitude, st.floats(0.1, 20.0),
+                                                          st.floats(-3.0, 3.0)) | noise
+        first = tuple(draw(st.lists(term, min_size=1, max_size=3)))
+        study["disturbance_spec"] = SignalSpec(channels=(first, (Constant(0.0),)),
+                                               seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        study["gain_multiplier"] = draw(scale)
+    if handback:
+        study["adaptive_rates"] = tuple(draw(st.lists(st.floats(100.0, 1000.0), min_size=2, max_size=2)))
+    elif mode == "adrcbf" and draw(st.booleans()):
+        study["adaptive_rates"] = tuple(draw(st.lists(scale, min_size=2, max_size=2)))
+    try:
+        config = build_study(mode, params=params, horizon=steps * dt, control_period=dt,
+                             integrator_substeps=draw(st.integers(1, 3)), verify=False, **study)
+    except BarrierConstructionError:
+        assume(False)
+    assume(membership(config.controller.chain, config.x0)["in_set"])
+    return config
+
+
+class TestRandomConfigurations:
+    """The generated loop against the reference loop on random ACC runs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(acc_configs())
+    def test_the_loop_logs_the_reference_loop(self, config):
+        try:
+            run_simulation(config)
+        except BarrierConstructionError as exc:
+            # A guard breach's command can blow the state up until the
+            # control row is non-finite, which raises; so must the
+            # reference loop.
+            with pytest.raises(BarrierConstructionError, match=f"^{re.escape(str(exc))}$"):
+                reference_run(config)
+            return
+        assert_same_run(config)
 
 
 class TestCodeMemo:

@@ -38,7 +38,13 @@ from drcbf.disturbances import (
     realize,
 )
 from drcbf.poles import coefficients_from_poles
-from drcbf.robust import BarrierConstructionError, DrcbfChain, HocbfChain, build_hocbf_chain, membership
+from drcbf.robust import (
+    BarrierConstructionError,
+    DrcbfChain,
+    HocbfChain,
+    build_hocbf_chain,
+    membership,
+)
 from drcbf.simulate import (
     IntegrationFault,
     SimulationConfig,
@@ -951,7 +957,8 @@ def acc_configs(draw):
     if draw(st.booleans()):
         study["gain_multiplier"] = draw(scale)
     if handback:
-        study["adaptive_rates"] = tuple(draw(st.lists(st.floats(100.0, 1000.0), min_size=2, max_size=2)))
+        study["adaptive_rates"] = tuple(draw(st.lists(st.floats(100.0, 1000.0), min_size=2,
+                                                      max_size=2)))
     elif mode == "adrcbf" and draw(st.booleans()):
         study["adaptive_rates"] = tuple(draw(st.lists(scale, min_size=2, max_size=2)))
     try:
@@ -972,9 +979,8 @@ class TestRandomConfigurations:
         try:
             run_simulation(config)
         except BarrierConstructionError as exc:
-            # A guard breach's command can blow the state up until the
-            # control row is non-finite, which raises; so must the
-            # reference loop.
+            # A guard breach's command can blow the state up until the CLF
+            # row is non-finite, which raises; so must the reference loop.
             with pytest.raises(BarrierConstructionError, match=f"^{re.escape(str(exc))}$"):
                 reference_run(config)
             return

@@ -552,6 +552,22 @@ class TestSimplification:
         at_inf = function((math.inf, 3.0))
         assert at_inf is None if folded else math.isnan(at_inf[0])
 
+    def test_an_unchecked_zero_factor_is_checked_through_its_operand(self):
+        # Nothing reads -x0 but (-x0) * 0.0; the check takes x0, which -x0
+        # cannot be non-finite without.
+        # Compiled afresh, so that the trace is simplified (see
+        # _Trace.generate).
+        _memo.clear()
+        trace = _Trace()
+        (x,) = trace.inputs((2.0,))
+        out = 1.0 + (-x) * 0.0
+        function = trace.function([f"if {trace.check([])}: return {trace.operand(out)}"],
+                                  declines=True)
+        assert trace.render() == []
+        assert trace.resolve("_finite0") == "isfinite(x0)"
+        assert function((5.0,)) == 1.0
+        assert function((math.nan,)) is None
+
     @pytest.mark.parametrize("form, checked, large, result", [
         (lambda x: -x, "x0", 1e308, 1.0),
         (lambda x: x * 0.5, "x0", 1e308, 1.0),
@@ -559,12 +575,15 @@ class TestSimplification:
         (lambda x: x / 0.5, "t0", 1e308, None),
         (lambda x: x + x, "t0", 1e308, None),
     ], ids=["negated", "halved", "times 1e300", "over 0.5", "doubled"])
-    def test_an_unchecked_zero_factor_is_checked_through_its_operand(self, form, checked, large,
-                                                                     result):
+    def test_a_zero_factor_is_checked_through_a_bounded_step_only(self, form, checked, large,
+                                                                  result):
         # Nothing reads y = form(x0) but y * 0.0. The check takes x0 where y
         # is at most |x0| in magnitude, so finite wherever x0 is, and y
         # itself where y may overflow from a finite x0: the function then
         # declines at large, where y * 0.0 is NaN.
+        # Compiled afresh, so that the trace is simplified (see
+        # _Trace.generate).
+        _memo.clear()
         trace = _Trace()
         (x,) = trace.inputs((2.0,))
         out = 1.0 + form(x) * 0.0
